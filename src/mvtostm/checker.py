@@ -19,6 +19,15 @@ and any topological order of the graph expanded transaction by
 transaction is a witness serialization. The checker verifies each
 witness it emits against independent legality, equivalence, and
 real-time checks rather than trusting the construction.
+
+When the version order lists every object's writers in ascending id,
+as the timestamp order does, the checker first tries the ascending
+serialization itself: T0, then every transaction by id. If that passes
+the witness checks, every edge of the graph runs from a lower id to a
+higher one, so the ascending order is exactly the topological order
+the graph would yield, and the graph is never built. This is the
+common case on MVTO histories, where timestamp order is the witness.
+Otherwise the graph decides, as above.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 
 from .errors import InvariantViolation, UsageError
@@ -70,24 +80,36 @@ def committed_writes(history: History) -> dict[str, dict[int, int]]:
     return writes
 
 
-def _resolve_writer(writes, obj, value) -> int | None:
-    candidates = [w for w, v in writes.get(obj, {T0: 0}).items() if v == value]
+def _writer_index(writes) -> dict[str, dict[int, list[int]]]:
+    """Per object, each committed value mapped to the writers of it."""
+    index: dict[str, dict[int, list[int]]] = {}
+    for obj, by_writer in writes.items():
+        by_value = index[obj] = {}
+        for w, v in by_writer.items():
+            by_value.setdefault(v, []).append(w)
+    return index
+
+
+def _resolve_writer(index, obj, value) -> int | None:
+    candidates = index[obj].get(value)
+    if candidates is None:
+        return None
     if len(candidates) > 1:
         raise ValueError(
             f"value {value} on object {obj} was committed by transactions "
             f"{sorted(candidates)}; per-object written values must be unique"
         )
-    return candidates[0] if candidates else None
+    return candidates[0]
 
 
 def invalid_read(history: History) -> Event | None:
     """First read with no committed-before writer of its value, or None."""
-    writes = committed_writes(history)
+    index = _writer_index(committed_writes(history))
     commit_pos = {e.tx: i for i, e in enumerate(history.events) if e.kind == COMMIT}
     for i, e in enumerate(history.events):
         if e.kind != READ:
             continue
-        writer = _resolve_writer(writes, e.obj, e.value)
+        writer = _resolve_writer(index, e.obj, e.value)
         if writer is None:
             return e
         if writer != T0 and commit_pos[writer] > i:
@@ -116,6 +138,27 @@ def real_time_pairs(history: History) -> set[tuple[int, int]]:
         for b in first
         if a != b and last[a] < first[b]
     }
+
+
+def _real_time_violation(history: History, topo: list[int]) -> tuple[int, int] | None:
+    """A pair (a, b) where a terminated before b began in the history as
+    given but topo does not rank a before b, or None.
+
+    One sweep stands in for checking every real_time_pairs pair: b is
+    out of order iff some transaction terminated before b's first event
+    ranks above b.
+    """
+    rank = {tx: i for i, tx in enumerate(topo)}
+    top, top_tx = -1, None
+    seen: set[int] = set()
+    for e in history.events:
+        if e.tx not in seen:
+            seen.add(e.tx)
+            if top > rank[e.tx]:
+                return top_tx, e.tx
+        if e.kind in TERMINALS and rank[e.tx] > top:
+            top, top_tx = rank[e.tx], e.tx
+    return None
 
 
 # ------------------------------------------------------------------ legality
@@ -212,20 +255,32 @@ def _mv_edges(reads, writers_by_obj, positions) -> set[tuple[int, int, str]]:
 
 
 class _Analysis:
-    """Per-history state shared across all candidate version orders."""
+    """Per-history state shared across all candidate version orders.
+
+    The reads and the static edges are built on first use, so a history
+    certified by its ascending serialization never pays for them.
+    """
 
     def __init__(self, history: History):
         self.history = history
         self.completed = history.complete()
         self.writes = committed_writes(self.completed)
-        self.writers_by_obj = {obj: tuple(ws) for obj, ws in self.writes.items()}
         self.vertices = frozenset(self.completed.txns() | {T0})
-        self.reads: list[tuple[int, str, int]] = []
+
+    @cached_property
+    def reads(self) -> list[tuple[int, str, int]]:
+        """(reader, object, writer) for every read with a committed writer."""
+        index = _writer_index(self.writes)
+        reads = []
         for e in self.completed.events:
             if e.kind == READ:
-                writer = _resolve_writer(self.writes, e.obj, e.value)
+                writer = _resolve_writer(index, e.obj, e.value)
                 if writer is not None:
-                    self.reads.append((e.tx, e.obj, writer))
+                    reads.append((e.tx, e.obj, writer))
+        return reads
+
+    @cached_property
+    def static_edges(self) -> frozenset[tuple[int, int, str]]:
         static: set[tuple[int, int, str]] = set()
         # rt comes from the history as given: a live transaction precedes
         # nothing, even after completion inserts its abort
@@ -237,7 +292,7 @@ class _Analysis:
         for k, _obj, j in self.reads:
             if j != k:
                 static.add((j, k, RF))
-        self.static_edges = frozenset(static)
+        return frozenset(static)
 
     def validate_order(self, order: VersionOrder) -> None:
         want = {obj: set(ws) for obj, ws in self.writes.items()}
@@ -258,7 +313,7 @@ class _Analysis:
             obj: {w: p for p, w in enumerate(seq)} for obj, seq in order.items()
         }
         edges = set(self.static_edges)
-        edges |= _mv_edges(self.reads, self.writers_by_obj, positions)
+        edges |= _mv_edges(self.reads, self.writes, positions)
         return OpacityGraph(self.vertices, frozenset(edges))
 
 
@@ -359,10 +414,12 @@ class Verdict:
 
 def timestamp_order(history: History) -> VersionOrder:
     """Per-object version order by ascending creator timestamp."""
-    return {
-        obj: tuple(sorted(writers))
-        for obj, writers in committed_writes(history.complete()).items()
-    }
+    # completion only appends aborts, so it changes no committed write
+    return _ascending_order(committed_writes(history))
+
+
+def _ascending_order(writes) -> VersionOrder:
+    return {obj: tuple(sorted(writers)) for obj, writers in writes.items()}
 
 
 def sequential_order(history: History) -> VersionOrder:
@@ -380,46 +437,52 @@ def sequential_order(history: History) -> VersionOrder:
 
 
 def serialization_from(completed: History, topo: list[int]) -> History:
-    events: list[Event] = []
-    for tx in topo:
-        if tx == T0:
-            continue
-        events.extend(completed.events_of(tx))
-    return History(_resequence(events))
+    per_tx: dict[int, list[Event]] = defaultdict(list)
+    for e in completed.events:
+        per_tx[e.tx].append(e)
+    return History(
+        _resequence(e for tx in topo if tx != T0 for e in per_tx.get(tx, ()))
+    )
 
 
-def _certified_serialization(
-    analysis: _Analysis, topo: list[int]
-) -> History:
-    """Expand a topological order and verify it independently."""
+def _witness(analysis: _Analysis, topo: list[int]) -> tuple[History, str | None]:
+    """Expand a topological order and check it independently.
+
+    Returns the serialization and the first check it fails, or None.
+    Any order of the vertices keeps every event, so a mismatch there is
+    a bug and raises at once.
+    """
     s = serialization_from(analysis.completed, topo)
     offending = illegal_read(s)
     if offending is not None:
-        raise InvariantViolation(
-            f"emitted serialization is not legal at {offending.line()!r}"
-        )
+        return s, f"emitted serialization is not legal at {offending.line()!r}"
     if not equivalent(s, analysis.completed):
         raise InvariantViolation("emitted serialization lost or changed events")
-    rank = {tx: i for i, tx in enumerate(topo)}
-    for a, b in real_time_pairs(analysis.history):
-        if rank[a] >= rank[b]:
-            raise InvariantViolation(
-                f"emitted serialization breaks real-time order {a} before {b}"
-            )
+    broken = _real_time_violation(analysis.history, topo)
+    if broken is not None:
+        a, b = broken
+        return s, f"emitted serialization breaks real-time order {a} before {b}"
+    return s, None
+
+
+def _certified_serialization(analysis: _Analysis, topo: list[int]) -> History:
+    """Expand a topological order of the graph and verify it independently."""
+    s, failure = _witness(analysis, topo)
+    if failure is not None:
+        raise InvariantViolation(failure)
     return s
 
 
-def check_with_order(history: History, order: VersionOrder) -> Verdict:
-    """Decide opacity under one fixed version order."""
-    bad = invalid_read(history)
-    if bad is not None:
-        return Verdict(
-            "invalid",
-            invalid_read=bad,
-            detail="a read returns a value no transaction committed before it",
-        )
-    analysis = _Analysis(history)
-    analysis.validate_order(order)
+def _invalid(bad: Event) -> Verdict:
+    return Verdict(
+        "invalid",
+        invalid_read=bad,
+        detail="a read returns a value no transaction committed before it",
+    )
+
+
+def _graph_verdict(analysis: _Analysis, order: VersionOrder) -> Verdict:
+    """Decide under one validated version order by building the graph."""
     topo, cycle = topological_order(analysis.graph(order))
     if topo is None:
         return Verdict(
@@ -437,20 +500,39 @@ def check_with_order(history: History, order: VersionOrder) -> Verdict:
     )
 
 
-def check_brute_force(history: History, budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Decide opacity by enumerating every version order.
+def _order_verdict(analysis: _Analysis, order: VersionOrder) -> Verdict:
+    """Decide under one version order: the ascending serialization when
+    the order allows it and it passes, the graph otherwise."""
+    analysis.validate_order(order)
+    if all(list(seq) == sorted(seq) for seq in order.values()):
+        s, failure = _witness(analysis, sorted(analysis.vertices))
+        if failure is None:
+            return Verdict(
+                "opaque", order=dict(order), serialization=s, orders_tested=1
+            )
+    return _graph_verdict(analysis, order)
 
-    Never guesses: when the candidate count exceeds the budget the
-    verdict is undecided rather than wrong.
-    """
+
+def check_with_order(history: History, order: VersionOrder) -> Verdict:
+    """Decide opacity under one fixed version order."""
     bad = invalid_read(history)
     if bad is not None:
-        return Verdict(
-            "invalid",
-            invalid_read=bad,
-            detail="a read returns a value no transaction committed before it",
-        )
+        return _invalid(bad)
+    return _order_verdict(_Analysis(history), order)
+
+
+def _check_with_graph(history: History, order: VersionOrder) -> Verdict:
+    """check_with_order without the ascending shortcut: always builds the
+    graph. The reference that the shortcut is tested against."""
+    bad = invalid_read(history)
+    if bad is not None:
+        return _invalid(bad)
     analysis = _Analysis(history)
+    analysis.validate_order(order)
+    return _graph_verdict(analysis, order)
+
+
+def _search(analysis: _Analysis, budget: int) -> Verdict:
     objs = sorted(analysis.writes)
     total = math.prod(math.factorial(len(analysis.writes[obj])) for obj in objs)
     if total > budget:
@@ -483,9 +565,25 @@ def check_brute_force(history: History, budget: int = DEFAULT_BUDGET) -> Verdict
     )
 
 
+def check_brute_force(history: History, budget: int = DEFAULT_BUDGET) -> Verdict:
+    """Decide opacity by enumerating every version order.
+
+    Never guesses: when the candidate count exceeds the budget the
+    verdict is undecided rather than wrong.
+    """
+    bad = invalid_read(history)
+    if bad is not None:
+        return _invalid(bad)
+    return _search(_Analysis(history), budget)
+
+
 def check_auto(history: History, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Timestamp order first; exhaustive search only when that fails."""
-    ts = check_with_order(history, timestamp_order(history))
-    if ts.status in ("opaque", "invalid"):
+    bad = invalid_read(history)
+    if bad is not None:
+        return _invalid(bad)
+    analysis = _Analysis(history)
+    ts = _order_verdict(analysis, _ascending_order(analysis.writes))
+    if ts.opaque:
         return ts
-    return check_brute_force(history, budget)
+    return _search(analysis, budget)

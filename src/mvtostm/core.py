@@ -82,10 +82,6 @@ class TObject:
                     return vt.ts, min(later)
         return None
 
-    def check_versions(self, ts: int) -> bool:
-        """True iff a version at ts may be installed."""
-        return self.find_conflict(ts) is None
-
     def insert_version(self, vt: VersionTuple) -> None:
         idx = bisect.bisect_left(self.versions, vt.ts, key=lambda v: v.ts)
         if idx < len(self.versions) and self.versions[idx].ts == vt.ts:
@@ -242,33 +238,40 @@ class Registry:
         targets = [(oid, self.tobject(oid)) for oid in sorted(tx.write_set)]
         held: list[TObject] = []
         conflict = None
-        for oid, tobj in targets:
-            self._acquire(tobj.lock, tobj.object_id)
-            held.append(tobj)
-            pair = tobj.find_conflict(tx.id)
-            if pair is not None:
-                conflict = (oid, pair[0], pair[1])
-                break
-        if conflict is not None:
+        live_held = False
+        try:
+            for oid, tobj in targets:
+                self._acquire(tobj.lock, tobj.object_id)
+                held.append(tobj)
+                pair = tobj.find_conflict(tx.id)
+                if pair is not None:
+                    conflict = (oid, pair[0], pair[1])
+                    break
+            if conflict is None:
+                for oid, tobj in targets:
+                    vt = VersionTuple(tx.id, tx.write_set[oid])
+                    if self.gc_threshold is not None:
+                        live_held = insert_tuple(
+                            tobj, vt, self.gc_threshold, self, live_held
+                        )
+                    else:
+                        tobj.insert_version(vt)
+                        if self._recorder is not None:
+                            self._recorder.on_version_insert(oid, tx.id)
+                self._record(hist.COMMIT, tx.id)
+        except BaseException:
+            # gc releases what it acquired itself before raising, so
+            # live_held is exactly what this commit still holds
+            if live_held:
+                self._release(self._live_lock, self._live_rank)
+            raise
+        finally:
             for tobj in reversed(held):
                 self._release(tobj.lock, tobj.object_id)
+        if conflict is not None:
             tx.abort_witness = conflict
             self._finish(tx, ABORTED, event=hist.ABORT)
             return False
-        live_held = False
-        for oid, tobj in targets:
-            vt = VersionTuple(tx.id, tx.write_set[oid])
-            if self.gc_threshold is not None:
-                live_held = insert_tuple(
-                    tobj, vt, self.gc_threshold, self, live_held
-                )
-            else:
-                tobj.insert_version(vt)
-                if self._recorder is not None:
-                    self._recorder.on_version_insert(oid, tx.id)
-        self._record(hist.COMMIT, tx.id)
-        for tobj in reversed(held):
-            self._release(tobj.lock, tobj.object_id)
         self._finish(tx, COMMITTED, event=None, live_lock_held=live_held)
         return True
 

@@ -46,20 +46,26 @@ def collect(tobj, registry, live_lock_held: bool = False) -> bool:
     the deleted tuple's nts, keeping the chain closed over survivors.
 
     Caller holds the object's lock. The registry live lock is acquired
-    here (unless already held) and stays held on return.
+    here (unless already held) and stays held on return. If the sweep
+    raises, a live lock acquired here is released first.
     """
     if not live_lock_held:
         registry._acquire(registry._live_lock, registry._live_rank)
     live = registry._live
     survivors = []
-    for vt in tobj.versions:
-        if vt.nts is not None and not any(vt.ts < j < vt.nts for j in live):
-            tobj.gc_deleted += 1
-            if registry._recorder is not None:
-                registry._recorder.on_version_delete(tobj.object_id, vt.ts)
-            if survivors:
-                survivors[-1].nts = vt.nts
-        else:
-            survivors.append(vt)
-    tobj.versions = survivors
+    try:
+        for vt in tobj.versions:
+            if vt.nts is not None and not any(vt.ts < j < vt.nts for j in live):
+                tobj.gc_deleted += 1
+                if registry._recorder is not None:
+                    registry._recorder.on_version_delete(tobj.object_id, vt.ts)
+                if survivors:
+                    survivors[-1].nts = vt.nts
+            else:
+                survivors.append(vt)
+        tobj.versions = survivors
+    except BaseException:
+        if not live_lock_held:
+            registry._release(registry._live_lock, registry._live_rank)
+        raise
     return True

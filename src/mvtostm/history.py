@@ -18,7 +18,7 @@ integers). Within one transaction all reads precede all writes, a begin
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import HistoryFormatError
 
@@ -47,7 +47,9 @@ class Event:
 
 
 def _resequence(events) -> tuple[Event, ...]:
-    return tuple(replace(e, seq=i) for i, e in enumerate(events))
+    return tuple(
+        Event(e.kind, e.tx, e.obj, e.value, i) for i, e in enumerate(events)
+    )
 
 
 class _WellFormedTracker:

@@ -1,3 +1,6 @@
+import random
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +25,7 @@ from mvtostm.checker import (
     validity,
 )
 from mvtostm.errors import UsageError
+from mvtostm.harness import WorkloadConfig, replay, run
 from mvtostm.history import History, parse
 from tests import support
 
@@ -347,3 +351,194 @@ class TestSequentialHistoriesAreOpaque:
         topo, cycle = topological_order(g)
         assert cycle is None, f"seed {seed}: cycle {cycle}"
         assert support.oracle_acyclic_dfs(g.vertices, g.edge_pairs())
+
+
+# -------------------------------------------- ascending shortcut vs. the graph
+
+DIFF_BUDGET = 720
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except ValueError as exc:  # ambiguous written values
+        return "ValueError", str(exc)
+
+
+def _auto_by_graph(history: History, budget: int):
+    """check_auto decided by the graph path alone, the shortcut's reference."""
+    ts = checker._check_with_graph(history, timestamp_order(history))
+    if ts.status in ("opaque", "invalid"):
+        return ts
+    return check_brute_force(history, budget)
+
+
+def _renumbered(seed: int, history: History) -> History:
+    """The same history with transaction ids permuted, so id order stops
+    following the order in which transactions ran."""
+    rng = random.Random(f"renumber/{seed}")
+    ids = sorted(history.txns())
+    shuffled = ids[:]
+    rng.shuffle(shuffled)
+    new_id = dict(zip(ids, shuffled))
+    return History(tuple(replace(e, tx=new_id[e.tx]) for e in history.events))
+
+
+def _random_order(seed: int, history: History) -> dict:
+    rng = random.Random(f"order/{seed}")
+    order = {}
+    for obj, writers in sorted(committed_writes(history).items()):
+        seq = sorted(writers)
+        rng.shuffle(seq)
+        order[obj] = tuple(seq)
+    return order
+
+
+@pytest.fixture
+def graph_calls(monkeypatch):
+    """Every version order the graph path decides, recorded as it runs."""
+    calls = []
+    graph_verdict = checker._graph_verdict
+
+    def recording(analysis, order):
+        calls.append(order)
+        return graph_verdict(analysis, order)
+
+    monkeypatch.setattr(checker, "_graph_verdict", recording)
+    return calls
+
+
+def _same_verdicts(history: History, order, graph_calls) -> bool:
+    """Assert that check_with_order agrees with the graph path under
+    order; return whether it certified opacity without building a graph."""
+    before = len(graph_calls)
+    fast = _outcome(check_with_order, history, order)
+    certified = len(graph_calls) == before and getattr(fast, "opaque", False)
+    assert fast == _outcome(checker._check_with_graph, history, order)
+    return certified
+
+
+def _same_auto(history: History) -> None:
+    assert _outcome(check_auto, history, DIFF_BUDGET) == _outcome(
+        _auto_by_graph, history, DIFF_BUDGET
+    )
+
+
+def _random_schedule(seed: int) -> str:
+    """A replay script: a few threads, one transaction each, randomly
+    interleaved; some end in commit, some in abort, some stay live."""
+    rng = random.Random(f"schedule/{seed}")
+    objects = ["x", "y", "z"][: rng.randint(1, 3)]
+    value = 0
+    lanes = []
+    for t in range(rng.randint(2, 5)):
+        steps = [f"step t{t} b"]
+        steps += [f"step t{t} r {rng.choice(objects)}" for _ in range(rng.randint(0, 2))]
+        for obj in rng.sample(objects, rng.randint(0, len(objects))):
+            value += 1
+            steps.append(f"step t{t} w {obj} {value}")
+        roll = rng.random()
+        if roll < 0.8:
+            steps.append(f"step t{t} c")
+        elif roll < 0.9:
+            steps.append(f"step t{t} a")
+        lanes.append(steps)
+    lines = ["objects " + " ".join(objects)]
+    while lanes:
+        lane = rng.randrange(len(lanes))
+        lines.append(lanes[lane].pop(0))
+        if not lanes[lane]:
+            lanes.pop(lane)
+    return "\n".join(lines) + "\n"
+
+
+class TestAscendingShortcut:
+    """check_with_order certifies the ascending serialization before it
+    builds a graph. Every verdict must equal the graph path's."""
+
+    def test_stress_runs(self, graph_calls):
+        for seed in range(4):
+            for threads in (1, 2, 3):
+                for gc in (None, 1, 2):
+                    cfg = WorkloadConfig(
+                        threads=threads,
+                        txs_per_thread=6,
+                        object_count=3,
+                        gc_threshold=gc,
+                        retry_limit=1,
+                        seed=seed,
+                    )
+                    h = run(cfg).history
+                    # on an MVTO history the timestamp order is the witness
+                    assert _same_verdicts(h, timestamp_order(h), graph_calls)
+                    _same_verdicts(h, _random_order(seed, h), graph_calls)
+                    _same_auto(h)
+
+    def test_replayed_schedules(self, graph_calls):
+        for seed in range(150):
+            h = replay(_random_schedule(seed))
+            assert _same_verdicts(h, timestamp_order(h), graph_calls)
+            _same_verdicts(h, _random_order(seed, h), graph_calls)
+            _same_auto(h)
+
+    def test_generated_histories(self, graph_calls):
+        certified = checked = 0
+        for seed in range(150):
+            h = support.random_legal_tseq(seed)
+            renumbered = _renumbered(seed, h)
+            corpus = [
+                h,
+                support.shuffle_preserving_tx_order(seed, h),
+                support.mutate_illegal(seed, h),
+                renumbered,
+                support.shuffle_preserving_tx_order(seed, renumbered),
+                support.random_well_formed_history(seed),
+            ]
+            for candidate in filter(None, corpus):
+                for order in (timestamp_order(candidate), _random_order(seed, candidate)):
+                    certified += _same_verdicts(candidate, order, graph_calls)
+                    checked += 1
+                _same_auto(candidate)
+        # the corpus reaches both the shortcut and the graph
+        assert 0 < certified < checked
+
+    def test_replayed_mvto_history_needs_no_graph(self, replayed, monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("the graph was built")
+
+        monkeypatch.setattr(checker, "real_time_pairs", unexpected)
+        monkeypatch.setattr(checker, "topological_order", unexpected)
+        v = check_with_order(replayed, timestamp_order(replayed))
+        assert v.status == "opaque"
+        assert [e.tx for e in v.serialization] == sorted(
+            e.tx for e in replayed.complete()
+        )
+
+    def test_later_transaction_finished_first(self):
+        # T2 commits before T1 begins and they touch different objects:
+        # real time rules out the ascending order, the graph puts 2 first
+        h = parse("b 2\nw 2 x 1\nc 2\nb 1\nw 1 y 1\nc 1\n")
+        v = check_with_order(h, timestamp_order(h))
+        assert v == checker._check_with_graph(h, timestamp_order(h))
+        assert v.status == "opaque"
+        assert [e.tx for e in v.serialization] == [2, 2, 2, 1, 1, 1]
+
+    def test_read_illegal_in_ascending_order(self):
+        # T1 reads T2's value, so T1 cannot go first; nothing in real
+        # time stops 2 before 1
+        h = parse("b 1\nb 2\nw 2 x 1\nc 2\nr 1 x 1\nc 1\n")
+        v = check_with_order(h, timestamp_order(h))
+        assert v == checker._check_with_graph(h, timestamp_order(h))
+        assert v.status == "opaque"
+        assert [e.tx for e in v.serialization] == [2, 2, 2, 1, 1, 1]
+
+    def test_order_not_ascending_skips_the_shortcut(self):
+        # The ascending serialization is legal and respects real time,
+        # but under version order 0, 2, 1 T3's read of 2 forces 3 before
+        # 1, against real time: not opaque under this order.
+        h = parse("w 1 x 1\nc 1\nw 2 x 2\nc 2\nr 3 x 2\nc 3\n")
+        order = {"x": (0, 2, 1)}
+        v = check_with_order(h, order)
+        assert v == checker._check_with_graph(h, order)
+        assert v.status == "not_opaque"
+        assert v.cycle == [1, 3]

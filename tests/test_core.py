@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 
 from mvtostm.core import ABORTED, COMMITTED, LIVE, Registry, TObject, VersionTuple
 from mvtostm.errors import ConfigError, InvariantViolation, UsageError
-from mvtostm.history import Recorder
+from mvtostm.history import COMMIT, Recorder
+from mvtostm.locks import LockOrderMonitor
 
 
 def find_by_scan(versions, ts):
@@ -53,13 +54,11 @@ class TestTObject:
         tobj = TObject(1)
         tobj.versions[0].readers.update({4, 9, 6})
         assert tobj.find_conflict(2) == (0, 4)
-        assert tobj.check_versions(2) is False
 
     def test_no_conflict_when_readers_older(self):
         tobj = TObject(1)
         tobj.versions[0].readers.update({1, 2})
         assert tobj.find_conflict(5) is None
-        assert tobj.check_versions(5) is True
 
     def test_conflict_only_on_older_versions(self):
         # A reader of a version written after ts does not block ts.
@@ -286,6 +285,47 @@ class TestRecording:
         reg.try_commit(tx)
         notes = rec.version_notes()
         assert [(n.action, n.obj, n.ts) for n in notes] == [("insert", "1", 1)]
+
+
+class TestExceptionSafety:
+    """An exception raised while commit holds locks must release them."""
+
+    @pytest.mark.parametrize(
+        "gc_threshold, hook",
+        [
+            (None, "on_version_insert"),
+            (None, "on_event"),
+            (1, "on_version_insert"),
+            (1, "on_version_delete"),
+            (1, "on_event"),  # raised while gc's live lock is held
+        ],
+    )
+    def test_failing_recorder_leaves_no_lock_held(self, gc_threshold, hook):
+        recorder = Recorder()
+        monitor = LockOrderMonitor()
+        registry = Registry(3, gc_threshold=gc_threshold, recorder=recorder, monitor=monitor)
+
+        def inject(*args):
+            if hook != "on_event" or args[0] == COMMIT:
+                raise RuntimeError("injected")
+
+        tx = registry.begin()
+        registry.read(tx, 1)
+        registry.write(tx, 1, 10)
+        registry.write(tx, 2, 20)
+        setattr(recorder, hook, inject)
+        with pytest.raises(RuntimeError, match="injected"):
+            registry.try_commit(tx)
+        delattr(recorder, hook)
+
+        locks = [registry.tobject(oid).lock for oid in (1, 2, 3)]
+        assert not any(lock.locked() for lock in locks + [registry._live_lock])
+        fresh = registry.begin()
+        registry.read(fresh, 1)
+        registry.write(fresh, 1, 11)
+        registry.write(fresh, 2, 21)
+        assert registry.try_commit(fresh)
+        assert monitor.violations == []
 
 
 class TestTransaction:
