@@ -16,6 +16,7 @@ after every object. All locks are FIFO-fair.
 from __future__ import annotations
 
 import bisect
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import history as hist
@@ -34,14 +35,13 @@ class VersionTuple:
 
     readers collects the ids of every transaction that read this
     version; entries are never removed, even when the reader terminates.
-    nts names the next committed writer of the object (None for the
-    newest version) and is only maintained when gc is enabled.
+    The next committed writer of the object is the version after this
+    one in the object's list.
     """
 
     ts: int
     value: int
     readers: set[int] = field(default_factory=set)
-    nts: int | None = None
 
 
 class TObject:
@@ -225,94 +225,76 @@ class Registry:
         """Commit tx. Returns True on commit, False on abort.
 
         Read-only transactions commit unconditionally. Update
-        transactions lock their written objects in ascending id order,
-        validate each one, and only then install all new versions. The
-        commit event is recorded while the object locks are still held,
-        so any later read that returns one of the new versions is
-        recorded after the commit that published them.
+        transactions lock their written objects in ascending id order
+        and validate each one. Once all pass, the live lock is taken
+        and held until tx has left the live set: every new version is
+        installed, then each is noted and its object collected when gc
+        is on, and the commit event is recorded. The object locks are
+        still held throughout, so any later read that returns one of
+        the new versions is recorded after the commit that published
+        them.
         """
         self._require_live(tx)
-        if not tx.write_set:
-            self._finish(tx, COMMITTED, event=hist.COMMIT)
-            return True
         targets = [(oid, self.tobject(oid)) for oid in sorted(tx.write_set)]
         held: list[TObject] = []
-        conflict = None
-        live_held = False
         try:
             for oid, tobj in targets:
                 self._acquire(tobj.lock, tobj.object_id)
                 held.append(tobj)
                 pair = tobj.find_conflict(tx.id)
                 if pair is not None:
-                    conflict = (oid, pair[0], pair[1])
+                    tx.abort_witness = (oid, pair[0], pair[1])
                     break
-            if conflict is None:
-                for oid, tobj in targets:
-                    vt = VersionTuple(tx.id, tx.write_set[oid])
-                    if self.gc_threshold is not None:
-                        live_held = insert_tuple(
-                            tobj, vt, self.gc_threshold, self, live_held
-                        )
-                    else:
-                        tobj.insert_version(vt)
-                        if self._recorder is not None:
-                            self._recorder.on_version_insert(oid, tx.id)
-                self._record(hist.COMMIT, tx.id)
-        except BaseException:
-            # gc releases what it acquired itself before raising, so
-            # live_held is exactly what this commit still holds
-            if live_held:
-                self._release(self._live_lock, self._live_rank)
-            raise
+            else:
+                self._finish(tx, COMMITTED, hist.COMMIT, targets)
+                return True
         finally:
             for tobj in reversed(held):
                 self._release(tobj.lock, tobj.object_id)
-        if conflict is not None:
-            tx.abort_witness = conflict
-            self._finish(tx, ABORTED, event=hist.ABORT)
-            return False
-        self._finish(tx, COMMITTED, event=None, live_lock_held=live_held)
-        return True
+        self._finish(tx, ABORTED, hist.ABORT)
+        return False
 
     def try_abort(self, tx: Transaction) -> None:
         """Abort tx voluntarily. Reader entries it left behind remain."""
         self._require_live(tx)
         tx.write_set.clear()
-        self._finish(tx, ABORTED, event=hist.ABORT)
-
-    def remove_id(self, tx_id: int, live_lock_held: bool = False) -> None:
-        """Drop tx_id from the live set. Absence is a bug."""
-        if not live_lock_held:
-            self._acquire(self._live_lock, self._live_rank)
-        try:
-            self._discard_live(tx_id)
-        finally:
-            self._release(self._live_lock, self._live_rank)
+        self._finish(tx, ABORTED, hist.ABORT)
 
     # -- internals
-
-    def _discard_live(self, tx_id: int) -> None:
-        if tx_id not in self._live:
-            raise InvariantViolation(f"transaction {tx_id} not in live set")
-        self._live.discard(tx_id)
 
     def _finish(
         self,
         tx: Transaction,
         final_status: str,
-        event: str | None,
-        live_lock_held: bool = False,
+        event: str,
+        written: Sequence[tuple[int, TObject]] = (),
     ) -> None:
-        if not live_lock_held:
-            self._acquire(self._live_lock, self._live_rank)
+        """Terminate tx in one live-lock section.
+
+        Installs a version on each written object, then notes each one
+        and collects its object when gc is on, records event and drops
+        tx from the live set. Installed versions are visible, so tx
+        terminates even when the recorder or gc raises: it leaves the
+        live set with final_status before the exception propagates.
+        """
+        self._acquire(self._live_lock, self._live_rank)
         try:
-            if event is not None:
-                self._record(event, tx.id)
-            self._discard_live(tx.id)
+            for oid, tobj in written:
+                tobj.insert_version(VersionTuple(tx.id, tx.write_set[oid]))
+            for oid, tobj in written:
+                if self._recorder is not None:
+                    self._recorder.on_version_insert(oid, tx.id)
+                if self.gc_threshold is not None:
+                    insert_tuple(tobj, self.gc_threshold, self)
+            self._record(event, tx.id)
         finally:
-            self._release(self._live_lock, self._live_rank)
-        tx.status = final_status
+            try:
+                tx.status = final_status
+                if tx.id not in self._live:
+                    raise InvariantViolation(f"transaction {tx.id} not in live set")
+                self._live.discard(tx.id)
+            finally:
+                self._release(self._live_lock, self._live_rank)
 
     def _require_live(self, tx: Transaction) -> None:
         if tx.status != LIVE:

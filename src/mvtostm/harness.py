@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .checker import Verdict, check_with_order, timestamp_order
 from .core import Registry, Transaction
-from .errors import ConfigError, InvariantViolation, ReplayError
+from .errors import ConfigError, InvariantViolation, ReplayError, UsageError
 from .history import History, Recorder, VersionNote
 from .locks import LockOrderMonitor
 
@@ -451,7 +451,8 @@ def replay(text: str, gc_threshold: int | None = None) -> History:
 
     Steps run strictly in script order on the calling thread, which is
     observably equivalent to running each step on its own thread behind
-    a step barrier, and deterministic.
+    a step barrier, and deterministic. A read after a write in the same
+    transaction raises ReplayError naming its line.
     """
     objects, steps = parse_script(text)
     if not steps:
@@ -474,7 +475,10 @@ def replay(text: str, gc_threshold: int | None = None) -> History:
                 s.line_no, f"thread {s.thread} has no live transaction"
             )
         if s.op == "r":
-            registry.read(tx, ids[s.obj])
+            try:
+                registry.read(tx, ids[s.obj])
+            except UsageError as exc:  # a read after a write
+                raise ReplayError(s.line_no, str(exc)) from exc
         elif s.op == "w":
             registry.write(tx, ids[s.obj], s.value)
         elif s.op == "c":

@@ -12,6 +12,7 @@ import itertools
 import random
 from dataclasses import replace
 
+from mvtostm.core import ABORTED, COMMITTED, Registry, Transaction, VersionTuple
 from mvtostm.history import (
     ABORT,
     BEGIN,
@@ -432,3 +433,107 @@ def oracle_acyclic_dfs(vertices, pairs) -> bool:
         return True
 
     return all(color[v] != WHITE or visit(v) for v in sorted(vertices))
+
+
+# ------------------------------------------------------ nts-chain reference
+
+
+class NtsChainRegistry(Registry):
+    """Reference update commit that keeps an explicit nts chain.
+
+    A version's nts is the timestamp of the next committed writer of its
+    object, updated by hand on every insertion and deletion; collection
+    decides each version against its nts. Here nts lives in a side
+    table keyed by (object id, version ts). Per object the commit
+    installs, notes and collects before it moves on, then records the
+    commit and leaves the live set. Locks are not taken, so use it from
+    one thread only, and always with a recorder.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.nts: dict[tuple[int, int], int | None] = {}
+
+    def try_commit(self, tx: Transaction) -> bool:
+        self._require_live(tx)
+        targets = [(oid, self.tobject(oid)) for oid in sorted(tx.write_set)]
+        for oid, tobj in targets:
+            pair = tobj.find_conflict(tx.id)
+            if pair is not None:
+                tx.abort_witness = (oid, pair[0], pair[1])
+                self._terminate(tx, ABORTED, ABORT)
+                return False
+        for oid, tobj in targets:
+            vt = VersionTuple(tx.id, tx.write_set[oid])
+            if self.gc_threshold is None:
+                tobj.insert_version(vt)
+                self._recorder.on_version_insert(oid, tx.id)
+            else:
+                self._insert_tuple(tobj, vt)
+        self._terminate(tx, COMMITTED, COMMIT)
+        return True
+
+    def _terminate(self, tx: Transaction, status: str, event: str) -> None:
+        self._record(event, tx.id)
+        self._live.remove(tx.id)
+        tx.status = status
+
+    def _insert_tuple(self, tobj, vt) -> None:
+        oid = tobj.object_id
+        prev = tobj.find(vt.ts)
+        self.nts[oid, vt.ts] = self.nts.get((oid, prev.ts))
+        self.nts[oid, prev.ts] = vt.ts
+        tobj.insert_version(vt)
+        self._recorder.on_version_insert(oid, vt.ts)
+        if len(tobj.versions) > self.gc_threshold:
+            self._collect(tobj)
+
+    def _collect(self, tobj) -> None:
+        oid = tobj.object_id
+        survivors = []
+        for vt in tobj.versions:
+            nts = self.nts.get((oid, vt.ts))
+            if nts is not None and not any(vt.ts < j < nts for j in self._live):
+                tobj.gc_deleted += 1
+                self._recorder.on_version_delete(oid, vt.ts)
+                if survivors:
+                    self.nts[oid, survivors[-1].ts] = nts
+            else:
+                survivors.append(vt)
+        tobj.versions = survivors
+
+
+def random_lane_schedule(seed: int, object_count: int) -> list[tuple]:
+    """A random interleaving of a few threads' transaction steps.
+
+    Each step is (lane, op, object, value) with op one of "b", "r",
+    "w", "c" and "a". A lane runs one to eight transactions back to
+    back; each reads, then writes distinct objects, then commits,
+    aborts or, for a lane's last transaction, stays live.
+    """
+    rng = random.Random(f"lanes/{seed}")
+    objects = range(1, object_count + 1)
+    value = 0
+    lanes = []
+    for lane in range(rng.randint(2, 5)):
+        steps = []
+        n_tx = rng.randint(1, 8)
+        for n in range(n_tx):
+            steps.append((lane, "b", None, None))
+            steps += [(lane, "r", rng.choice(objects), None) for _ in range(rng.randint(0, 3))]
+            for obj in rng.sample(objects, rng.randint(0, object_count)):
+                value += 1
+                steps.append((lane, "w", obj, value))
+            roll = rng.random()
+            if roll < 0.8 or (roll >= 0.9 and n < n_tx - 1):
+                steps.append((lane, "c", None, None))
+            elif roll < 0.9:
+                steps.append((lane, "a", None, None))
+        lanes.append(steps)
+    schedule = []
+    while lanes:
+        i = rng.randrange(len(lanes))
+        schedule.append(lanes[i].pop(0))
+        if not lanes[i]:
+            lanes.pop(i)
+    return schedule

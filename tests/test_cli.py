@@ -160,10 +160,15 @@ class TestReplayCli:
 
     def test_bad_script_exits_two(self, tmp_path, capsys):
         script = tmp_path / "s.txt"
-        script.write_text("objects x\nstep a r x\n")
-        assert replay_main([str(script)]) == 2
-        err = capsys.readouterr().err
-        assert "line 2" in err
+        for text, line in (
+            ("objects x\nstep a r x\n", 2),
+            # the STM refuses a read after a write
+            ("objects x\nstep 0 b\nstep 0 w x 5\nstep 0 r x\n", 4),
+        ):
+            script.write_text(text)
+            assert replay_main([str(script)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: line {line}: ")
 
     def test_missing_script(self, tmp_path, capsys):
         assert replay_main([str(tmp_path / "nope.txt")]) == 2

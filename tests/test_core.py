@@ -245,11 +245,6 @@ class TestCommit:
         assert tx.abort_witness is None
         assert [vt.ts for vt in reg.tobject(1).versions] == [0]
 
-    def test_remove_id_unknown_is_a_bug(self):
-        reg = Registry(1)
-        with pytest.raises(InvariantViolation):
-            reg.remove_id(99)
-
 
 class TestRecording:
     def test_events_recorded_per_operation(self):
@@ -288,7 +283,11 @@ class TestRecording:
 
 
 class TestExceptionSafety:
-    """An exception raised while commit holds locks must release them."""
+    """An exception raised while commit holds locks must release them.
+
+    It must also terminate the transaction: once validation passes, its
+    versions are installed and visible, so it ends committed.
+    """
 
     @pytest.mark.parametrize(
         "gc_threshold, hook",
@@ -320,12 +319,32 @@ class TestExceptionSafety:
 
         locks = [registry.tobject(oid).lock for oid in (1, 2, 3)]
         assert not any(lock.locked() for lock in locks + [registry._live_lock])
+        assert registry.live_ids() == set()
+        assert tx.status == COMMITTED
         fresh = registry.begin()
-        registry.read(fresh, 1)
+        assert registry.read(fresh, 1) == 10
+        assert registry.read(fresh, 2) == 20
         registry.write(fresh, 1, 11)
         registry.write(fresh, 2, 21)
         assert registry.try_commit(fresh)
         assert monitor.violations == []
+
+    @pytest.mark.parametrize("end, status", [("try_commit", COMMITTED), ("try_abort", ABORTED)])
+    def test_failing_recorder_still_ends_a_transaction_without_writes(self, end, status):
+        recorder = Recorder()
+        registry = Registry(1, recorder=recorder)
+        tx = registry.begin()
+        registry.read(tx, 1)
+
+        def inject(*args):
+            raise RuntimeError("injected")
+
+        recorder.on_event = inject
+        with pytest.raises(RuntimeError, match="injected"):
+            getattr(registry, end)(tx)
+        assert tx.status == status
+        assert registry.live_ids() == set()
+        assert not registry._live_lock.locked()
 
 
 class TestTransaction:

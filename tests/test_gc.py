@@ -1,6 +1,7 @@
 from mvtostm.core import Registry
 from mvtostm.gc import collect
 from mvtostm.history import Recorder
+from mvtostm.locks import FairLock, LockOrderMonitor
 from tests import support
 
 
@@ -11,21 +12,25 @@ def committed_writer(reg, oid, value):
     return tx.id
 
 
-def chain(tobj):
-    return [(vt.ts, vt.nts) for vt in tobj.versions]
+def timestamps(tobj):
+    return [vt.ts for vt in tobj.versions]
 
 
 class TestNtsChain:
+    """The paper's nts of a version, its next committed writer, is the
+    version after it in the object's list."""
+
     def test_inserts_link_successors(self):
         reg = Registry(1, gc_threshold=50)
         for value in (10, 20, 30):
             committed_writer(reg, 1, value)
-        assert chain(reg.tobject(1)) == [(0, 1), (1, 2), (2, 3), (3, None)]
+        assert timestamps(reg.tobject(1)) == [0, 1, 2, 3]
 
-    def test_gc_disabled_leaves_nts_unset(self):
+    def test_gc_disabled_keeps_every_version(self):
         reg = Registry(1)
         committed_writer(reg, 1, 10)
-        assert chain(reg.tobject(1)) == [(0, None), (1, None)]
+        committed_writer(reg, 1, 20)
+        assert timestamps(reg.tobject(1)) == [0, 1, 2]
 
 
 class TestCollect:
@@ -35,7 +40,7 @@ class TestCollect:
             committed_writer(reg, 1, value)
         last = committed_writer(reg, 1, 40)
         tobj = reg.tobject(1)
-        assert chain(tobj) == [(last, None)]
+        assert timestamps(tobj) == [last]
         assert tobj.gc_deleted == 4
         assert not reg._live_lock.locked()
 
@@ -47,7 +52,7 @@ class TestCollect:
         committed_writer(reg, 1, 30)  # ts 4 triggers collection
         tobj = reg.tobject(1)
         # ts 2 must survive: transaction 3 would read it
-        assert [vt.ts for vt in tobj.versions] == [2, 4]
+        assert timestamps(tobj) == [2, 4]
         assert reg.read(bystander, 1) == 20
 
     def test_deleting_between_survivors_repairs_the_chain(self):
@@ -56,7 +61,7 @@ class TestCollect:
         committed_writer(reg, 1, 10)  # ts 2
         committed_writer(reg, 1, 20)  # ts 3: collection deletes ts 2 only
         tobj = reg.tobject(1)
-        assert chain(tobj) == [(0, 3), (3, None)]
+        assert timestamps(tobj) == [0, 3]
         assert tobj.gc_deleted == 1
         assert reg.read(guard, 1) == 0
 
@@ -69,26 +74,46 @@ class TestCollect:
     def test_newest_version_never_deleted(self):
         reg = Registry(1, gc_threshold=1)
         last = committed_writer(reg, 1, 10)
-        assert [vt.ts for vt in reg.tobject(1).versions] == [last]
+        assert timestamps(reg.tobject(1)) == [last]
 
-    def test_collect_leaves_live_lock_held(self):
-        reg = Registry(1, gc_threshold=10)
-        committed_writer(reg, 1, 10)
+    def test_collect_leaves_live_lock_held(self, monkeypatch):
+        # Collection runs under the committer's object lock and live lock:
+        # it takes no lock of its own and releases neither.
+        reg = Registry(1)
+        committed_writer(reg, 1, 10)  # ts 1
+        guard = reg.begin()  # id 2 protects ts 1
+        committed_writer(reg, 1, 30)  # ts 3
+        committed_writer(reg, 1, 40)  # ts 4
         tobj = reg.tobject(1)
-        with tobj.lock:
-            collect(tobj, reg)
-            assert reg._live_lock.locked()
-            reg._live_lock.release()
 
-    def test_collect_honors_already_held_live_lock(self):
-        reg = Registry(1, gc_threshold=10)
-        committed_writer(reg, 1, 10)
-        tobj = reg.tobject(1)
+        def refuse(lock):
+            raise AssertionError("collect acquired a lock")
+
         with tobj.lock:
             reg._live_lock.acquire()
-            collect(tobj, reg, live_lock_held=True)
+            monkeypatch.setattr(FairLock, "acquire", refuse)
+            collect(tobj, reg)
+            monkeypatch.undo()
             assert reg._live_lock.locked()
+            assert tobj.lock.locked()
             reg._live_lock.release()
+        assert timestamps(tobj) == [1, 4]
+        assert reg.read(guard, 1) == 10
+
+    def test_collect_honors_already_held_live_lock(self):
+        # An update commit takes the live lock once, for its own removal
+        # from the live set; collection reuses that hold, gc on or off.
+        for gc_threshold in (None, 1):
+            monitor = LockOrderMonitor()
+            reg = Registry(3, gc_threshold=gc_threshold, monitor=monitor)
+            for _ in range(3):
+                tx = reg.begin()
+                reg.write(tx, 1, 10)
+                reg.write(tx, 3, 30)
+                before = monitor.acquisitions
+                assert reg.try_commit(tx)
+                # objects 1 and 3, then the live lock
+                assert monitor.acquisitions - before == 2 + 1
 
     def test_deletions_recorded_as_notes(self):
         rec = Recorder()
@@ -144,3 +169,54 @@ class TestAgainstOracle:
             rec.history(), rec.version_notes()
         )
         assert [(n.ts, tx) for n, tx in violations] == [(0, 1)]
+
+
+def _apply(reg, open_tx, step):
+    lane, op, obj, value = step
+    if op == "b":
+        open_tx[lane] = reg.begin()
+        return open_tx[lane].id
+    if op == "r":
+        return reg.read(open_tx[lane], obj)
+    if op == "w":
+        return reg.write(open_tx[lane], obj, value)
+    tx = open_tx.pop(lane)
+    if op == "c":
+        return reg.try_commit(tx), tx.abort_witness
+    return reg.try_abort(tx)
+
+
+def _version_lists(reg):
+    return [
+        [(vt.ts, vt.value, sorted(vt.readers)) for vt in reg.tobject(oid).versions]
+        for oid in range(1, reg.object_count + 1)
+    ]
+
+
+class TestAgainstNtsChain:
+    """Deciding each version against the next list element collects
+    exactly what the hand-kept nts chain did, step for step."""
+
+    OBJECTS = 3
+
+    def _lockstep(self, seed, gc_threshold):
+        recorders = [Recorder(), Recorder()]
+        new, ref = (
+            cls(self.OBJECTS, gc_threshold=gc_threshold, recorder=rec)
+            for cls, rec in zip((Registry, support.NtsChainRegistry), recorders)
+        )
+        open_new, open_ref = {}, {}
+        for step in support.random_lane_schedule(seed, self.OBJECTS):
+            assert _apply(new, open_new, step) == _apply(ref, open_ref, step), (seed, step)
+            assert _version_lists(new) == _version_lists(ref), (seed, step)
+        assert recorders[0].history() == recorders[1].history()
+        assert recorders[0].version_notes() == recorders[1].version_notes()
+        deleted = [new.tobject(oid).gc_deleted for oid in range(1, self.OBJECTS + 1)]
+        assert deleted == [ref.tobject(oid).gc_deleted for oid in range(1, self.OBJECTS + 1)]
+        return sum(deleted)
+
+    def test_random_schedules(self):
+        for gc_threshold in (None, 1, 2, 8):
+            deleted = sum(self._lockstep(seed, gc_threshold) for seed in range(300))
+            # every threshold must actually collect, or nothing was compared
+            assert (deleted > 0) == (gc_threshold is not None)

@@ -286,6 +286,8 @@ class TestReplay:
             replay("objects x\nstep a c\n")
         with pytest.raises(ReplayError, match="no live"):
             replay("objects x\nstep a b\nstep a c\nstep a r x\n")
+        with pytest.raises(ReplayError, match="line 4: .*read after write"):
+            replay("objects x\nstep a b\nstep a w x 5\nstep a r x\n")
 
     def test_gc_during_replay(self):
         lines = ["objects x"]
