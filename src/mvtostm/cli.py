@@ -23,7 +23,7 @@ def _fail(message: str) -> int:
 def _read_file(path: str) -> str | None:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None
 

@@ -94,11 +94,10 @@ class TObject:
 class Transaction:
     """Handle for one transaction; confined to one thread at a time."""
 
-    __slots__ = ("id", "read_set", "write_set", "status", "abort_witness")
+    __slots__ = ("id", "write_set", "status", "abort_witness")
 
     def __init__(self, tx_id: int):
         self.id = tx_id
-        self.read_set: dict[int, int] = {}
         self.write_set: dict[int, int] = {}
         self.status = LIVE
         # (object id, prior creator j, reader k) with j < id < k, set
@@ -191,28 +190,26 @@ class Registry:
         return Transaction(tx_id)
 
     def read(self, tx: Transaction, object_id: int) -> int:
+        """Value of the newest version older than tx; tx joins its readers.
+
+        A re-read finds the same version as the first read: a committer
+        between that version and tx fails validation against tx's
+        reader entry, and gc keeps the version while tx is live.
+        """
         self._require_live(tx)
         if tx.write_set:
             raise UsageError(
                 f"transaction {tx.id} read after write: reads must precede writes"
             )
-        if object_id in tx.read_set:
-            # Re-reads reuse the first result; consulting the shared list
-            # again could return a version committed in between.
-            value = tx.read_set[object_id]
-            self._record(hist.READ, tx.id, object_id, value)
-            return value
         tobj = self.tobject(object_id)
         self._acquire(tobj.lock, tobj.object_id)
         try:
             vt = tobj.find(tx.id)
             vt.readers.add(tx.id)
-            value = vt.value
-            self._record(hist.READ, tx.id, object_id, value)
+            self._record(hist.READ, tx.id, object_id, vt.value)
         finally:
             self._release(tobj.lock, tobj.object_id)
-        tx.read_set[object_id] = value
-        return value
+        return vt.value
 
     def write(self, tx: Transaction, object_id: int, value: int) -> None:
         """Buffer the write locally; shared state is untouched until commit."""

@@ -52,48 +52,25 @@ def _resequence(events) -> tuple[Event, ...]:
     )
 
 
-class _WellFormedTracker:
-    """Incremental well-formedness state machine, one phase per transaction."""
-
-    START, READS, WRITES, DONE = range(4)
-
-    def __init__(self):
-        self._phase: dict[int, int] = {}
-
-    def feed(self, event: Event) -> str | None:
-        """Apply one event; return an error message if it breaks the shape."""
-        if event.kind not in EVENT_KINDS:
-            return f"unknown event kind {event.kind!r}"
-        if event.tx < 1:
-            return f"transaction id must be positive, got {event.tx}"
-        phase = self._phase.get(event.tx, self.START)
-        if phase == self.DONE:
-            return f"event after terminal of transaction {event.tx}"
-        if event.kind == BEGIN:
-            if phase != self.START:
-                return f"begin is not the first event of transaction {event.tx}"
-            self._phase[event.tx] = self.READS
-        elif event.kind == READ:
-            if phase == self.WRITES:
-                return f"read after write in transaction {event.tx}"
-            self._phase[event.tx] = self.READS
-        elif event.kind == WRITE:
-            self._phase[event.tx] = self.WRITES
-        else:
-            self._phase[event.tx] = self.DONE
-        return None
-
-    def live(self) -> set[int]:
-        return {tx for tx, ph in self._phase.items() if ph != self.DONE}
-
-
 def well_formedness_violation(events) -> tuple[int, str] | None:
     """Index and message of the first shape-breaking event, or None."""
-    tracker = _WellFormedTracker()
+    last_kind: dict[int, str] = {}
     for i, event in enumerate(events):
-        msg = tracker.feed(event)
-        if msg is not None:
-            return i, msg
+        before = last_kind.get(event.tx)
+        if event.kind not in EVENT_KINDS:
+            msg = f"unknown event kind {event.kind!r}"
+        elif event.tx < 1:
+            msg = f"transaction id must be positive, got {event.tx}"
+        elif before in TERMINALS:
+            msg = f"event after terminal of transaction {event.tx}"
+        elif event.kind == BEGIN and before is not None:
+            msg = f"begin is not the first event of transaction {event.tx}"
+        elif event.kind == READ and before == WRITE:
+            msg = f"read after write in transaction {event.tx}"
+        else:
+            last_kind[event.tx] = event.kind
+            continue
+        return i, msg
     return None
 
 
@@ -210,27 +187,27 @@ class Recorder:
     """Collects events at their linearization points.
 
     Appends are serialized internally, so callers may invoke it while
-    holding object locks. Shape violations are flagged rather than
-    raised: a correct caller never produces one, and raising inside a
-    critical section would poison unrelated transactions.
+    holding object locks. Recording only appends: the shape of the
+    history is judged when invalid_reason is read, so a malformed event
+    never raises inside a critical section.
     """
 
     def __init__(self, object_name=str):
         self._guard = threading.Lock()
         self._events: list[Event] = []
         self._notes: list[VersionNote] = []
-        self._tracker = _WellFormedTracker()
         self._object_name = object_name
-        self.invalid_reason: str | None = None
+
+    @property
+    def invalid_reason(self) -> str | None:
+        """Message of the first shape violation recorded so far, or None."""
+        bad = well_formedness_violation(self.history().events)
+        return None if bad is None else bad[1]
 
     def on_event(self, kind: str, tx: int, obj=None, value=None) -> None:
         name = self._object_name(obj) if obj is not None else None
         with self._guard:
-            event = Event(kind, tx, name, value, seq=len(self._events))
-            msg = self._tracker.feed(event)
-            if msg is not None and self.invalid_reason is None:
-                self.invalid_reason = msg
-            self._events.append(event)
+            self._events.append(Event(kind, tx, name, value, seq=len(self._events)))
 
     def on_version_insert(self, obj, ts: int) -> None:
         self._note("insert", obj, ts)

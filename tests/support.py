@@ -13,6 +13,7 @@ import random
 from dataclasses import replace
 
 from mvtostm.core import ABORTED, COMMITTED, Registry, Transaction, VersionTuple
+from mvtostm.errors import UsageError
 from mvtostm.history import (
     ABORT,
     BEGIN,
@@ -501,6 +502,38 @@ class NtsChainRegistry(Registry):
             else:
                 survivors.append(vt)
         tobj.versions = survivors
+
+
+# ------------------------------------------------------ cached-read reference
+
+
+class CachedReadRegistry(Registry):
+    """Reference read path that answers a re-read from a per-transaction
+    cache of first results instead of searching the version list again.
+
+    The cache lives in a side table keyed by (transaction id, object
+    id); re_reads counts the reads it answered.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.first_reads: dict[tuple[int, int], int] = {}
+        self.re_reads = 0
+
+    def read(self, tx: Transaction, object_id: int) -> int:
+        self._require_live(tx)
+        if tx.write_set:
+            raise UsageError(
+                f"transaction {tx.id} read after write: reads must precede writes"
+            )
+        key = tx.id, object_id
+        if key in self.first_reads:
+            self.re_reads += 1
+            value = self.first_reads[key]
+            self._record(READ, tx.id, object_id, value)
+            return value
+        value = self.first_reads[key] = super().read(tx, object_id)
+        return value
 
 
 def random_lane_schedule(seed: int, object_count: int) -> list[tuple]:

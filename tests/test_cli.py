@@ -1,9 +1,12 @@
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import mvtostm
 from mvtostm.cli import opacity_check_main, replay_main, stress_main
 from mvtostm.history import parse
 from tests import support
@@ -61,9 +64,12 @@ class TestOpacityCheck:
         assert "undecided" in capsys.readouterr().out
 
     def test_missing_file(self, tmp_path, capsys):
-        rc = opacity_check_main([str(tmp_path / "nope.hist")])
-        assert rc == 2
-        assert "error" in capsys.readouterr().err
+        not_utf8 = tmp_path / "binary.hist"
+        not_utf8.write_bytes(b"\xff\xfe")
+        for path in (tmp_path / "nope.hist", not_utf8):
+            rc = opacity_check_main([str(path)])
+            assert rc == 2
+            assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
 
     def test_malformed_history(self, tmp_path, capsys):
         p = tmp_path / "bad.hist"
@@ -171,8 +177,11 @@ class TestReplayCli:
             assert err.startswith(f"error: line {line}: ")
 
     def test_missing_script(self, tmp_path, capsys):
-        assert replay_main([str(tmp_path / "nope.txt")]) == 2
-        assert "error" in capsys.readouterr().err
+        not_utf8 = tmp_path / "binary.txt"
+        not_utf8.write_bytes(b"\xff\xfe")
+        for path in (tmp_path / "nope.txt", not_utf8):
+            assert replay_main([str(path)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
 
 
 class TestInstalledEntryPoints:
@@ -189,7 +198,11 @@ class TestInstalledEntryPoints:
         assert "not opaque" in proc.stdout
 
     def test_module_pipeline(self, tmp_path):
-        # replay a script, then feed the dump to the checker
+        # replay a script, then feed the dump to the checker; the child
+        # imports the same package as this process, installed or not
+        package_root = str(Path(mvtostm.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONPATH": path}
         script = tmp_path / "s.txt"
         script.write_text(support.REFERENCE_SCRIPT)
         dump = tmp_path / "d.hist"
@@ -200,7 +213,7 @@ class TestInstalledEntryPoints:
                 "sys.exit(replay_main(sys.argv[1:]))",
                 str(script), "--dump", str(dump),
             ],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env=env,
         )
         assert r1.returncode == 0, r1.stderr
         r2 = subprocess.run(
@@ -210,7 +223,7 @@ class TestInstalledEntryPoints:
                 "sys.exit(opacity_check_main(sys.argv[1:]))",
                 str(dump),
             ],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env=env,
         )
         assert r2.returncode == 0, r2.stderr
         assert "opaque" in r2.stdout

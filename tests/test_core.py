@@ -124,7 +124,7 @@ class TestReadWrite:
         reader = reg.begin()
         assert reg.read(reader, 1) == 0
 
-    def test_reread_is_cached(self):
+    def test_reread_returns_first_value(self):
         reg = Registry(1)
         old = reg.begin()
         assert reg.read(old, 1) == 0

@@ -193,30 +193,51 @@ def _version_lists(reg):
     ]
 
 
+def _deleted(reg):
+    return [reg.tobject(oid).gc_deleted for oid in range(1, reg.object_count + 1)]
+
+
+def _lockstep(reference_cls, seed, gc_threshold, object_count=3):
+    """Run one random lane schedule on Registry and on reference_cls side
+    by side. After every step, compare the step's result and every
+    version list; at the end, compare histories, version notes and gc
+    deletions. Returns the reference registry."""
+    recorders = [Recorder(), Recorder()]
+    new, ref = (
+        cls(object_count, gc_threshold=gc_threshold, recorder=rec)
+        for cls, rec in zip((Registry, reference_cls), recorders)
+    )
+    open_new, open_ref = {}, {}
+    for step in support.random_lane_schedule(seed, object_count):
+        assert _apply(new, open_new, step) == _apply(ref, open_ref, step), (seed, step)
+        assert _version_lists(new) == _version_lists(ref), (seed, step)
+    assert recorders[0].history() == recorders[1].history()
+    assert recorders[0].version_notes() == recorders[1].version_notes()
+    assert _deleted(new) == _deleted(ref)
+    return ref
+
+
 class TestAgainstNtsChain:
     """Deciding each version against the next list element collects
     exactly what the hand-kept nts chain did, step for step."""
 
-    OBJECTS = 3
+    def test_random_schedules(self):
+        for gc_threshold in (None, 1, 2, 8):
+            deleted = 0
+            for seed in range(300):
+                deleted += sum(_deleted(_lockstep(support.NtsChainRegistry, seed, gc_threshold)))
+            # every threshold must actually collect, or nothing was compared
+            assert (deleted > 0) == (gc_threshold is not None)
 
-    def _lockstep(self, seed, gc_threshold):
-        recorders = [Recorder(), Recorder()]
-        new, ref = (
-            cls(self.OBJECTS, gc_threshold=gc_threshold, recorder=rec)
-            for cls, rec in zip((Registry, support.NtsChainRegistry), recorders)
-        )
-        open_new, open_ref = {}, {}
-        for step in support.random_lane_schedule(seed, self.OBJECTS):
-            assert _apply(new, open_new, step) == _apply(ref, open_ref, step), (seed, step)
-            assert _version_lists(new) == _version_lists(ref), (seed, step)
-        assert recorders[0].history() == recorders[1].history()
-        assert recorders[0].version_notes() == recorders[1].version_notes()
-        deleted = [new.tobject(oid).gc_deleted for oid in range(1, self.OBJECTS + 1)]
-        assert deleted == [ref.tobject(oid).gc_deleted for oid in range(1, self.OBJECTS + 1)]
-        return sum(deleted)
+
+class TestAgainstCachedReads:
+    """A re-read that searches the version list again returns what the
+    first read returned, step for step."""
 
     def test_random_schedules(self):
         for gc_threshold in (None, 1, 2, 8):
-            deleted = sum(self._lockstep(seed, gc_threshold) for seed in range(300))
-            # every threshold must actually collect, or nothing was compared
-            assert (deleted > 0) == (gc_threshold is not None)
+            re_reads = 0
+            for seed in range(300):
+                re_reads += _lockstep(support.CachedReadRegistry, seed, gc_threshold).re_reads
+            # every threshold must re-read, or nothing was compared
+            assert re_reads > 0, gc_threshold

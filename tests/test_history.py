@@ -144,11 +144,19 @@ class TestRecorder:
         assert rec.history().events[0].obj == "obj3"
 
     def test_flags_invalid_instead_of_raising(self):
-        rec = Recorder()
-        rec.on_event("w", 1, 1, 5)
-        rec.on_event("r", 1, 2, 0)
-        assert rec.invalid_reason is not None
-        assert len(rec.history()) == 2  # both events retained for debugging
+        for calls, flaw in (
+            ([("w", 1, 1, 5), ("r", 1, 2, 0)], "read after write"),
+            ([("b", 1), ("c", 1), ("r", 1, 1, 0)], "event after terminal"),
+            ([("r", 1, 1, 0), ("b", 1), ("c", 1)], "begin is not the first"),
+            ([("b", 2), ("c", 0), ("c", 2), ("w", 2, 1, 5)], "must be positive"),
+        ):
+            rec = Recorder()
+            for call in calls:
+                rec.on_event(*call)
+            events = rec.history().events
+            assert len(events) == len(calls)  # every event retained for debugging
+            assert rec.invalid_reason == well_formedness_violation(events)[1]
+            assert flaw in rec.invalid_reason
 
     def test_version_notes_positions(self):
         rec = Recorder()
