@@ -24,7 +24,6 @@ from .checker import (
     equivalent,
     illegal_read,
     invalid_read,
-    is_acyclic,
     is_t_sequential,
     legality,
     real_time_pairs,
@@ -123,7 +122,6 @@ __all__ = [
     "equivalent",
     "illegal_read",
     "invalid_read",
-    "is_acyclic",
     "is_t_sequential",
     "legality",
     "parse",

@@ -48,7 +48,6 @@ from .history import (
     WRITE,
     Event,
     History,
-    _resequence,
 )
 
 RT = "rt"
@@ -371,10 +370,6 @@ def _extract_cycle(remaining: set[int], pred) -> list[int]:
         cur = nxt
 
 
-def is_acyclic(graph: OpacityGraph) -> bool:
-    return topological_order(graph)[0] is not None
-
-
 # ------------------------------------------------------------------ verdicts
 
 
@@ -440,9 +435,7 @@ def serialization_from(completed: History, topo: list[int]) -> History:
     per_tx: dict[int, list[Event]] = defaultdict(list)
     for e in completed.events:
         per_tx[e.tx].append(e)
-    return History(
-        _resequence(e for tx in topo if tx != T0 for e in per_tx.get(tx, ()))
-    )
+    return History(tuple(e for tx in topo if tx != T0 for e in per_tx.get(tx, ())))
 
 
 def _witness(analysis: _Analysis, topo: list[int]) -> tuple[History, str | None]:

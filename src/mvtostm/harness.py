@@ -13,12 +13,13 @@ import random
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .checker import Verdict, check_with_order, timestamp_order
 from .core import Registry, Transaction
 from .errors import ConfigError, InvariantViolation, ReplayError, UsageError
-from .history import History, Recorder, VersionNote
+from .history import ABORT, COMMIT, TERMINALS, WRITE, History, Recorder, VersionNote
 from .locks import LockOrderMonitor
 
 WATCHDOG_SECONDS = 30.0
@@ -134,11 +135,7 @@ def thread_script(config: WorkloadConfig, worker: int) -> list[TxScript]:
 
 @dataclass
 class _WorkerStats:
-    ro_committed: int = 0
-    ro_aborted: int = 0
-    update_committed: int = 0
-    update_aborted: int = 0
-    retries: int = 0
+    # commits and aborts are counted from the recorded history
     gave_up: int = 0
     # (aborting id i, object, prior creator j, reader k)
     witnesses: list[tuple[int, int, int, int]] = field(default_factory=list)
@@ -152,15 +149,7 @@ def _run_attempt(registry: Registry, script: TxScript, stats: _WorkerStats) -> b
     for idx, obj in enumerate(script.writes):
         registry.write(tx, obj, encode_value(tx.id, obj, idx))
     if registry.try_commit(tx):
-        if script.read_only:
-            stats.ro_committed += 1
-        else:
-            stats.update_committed += 1
         return True
-    if script.read_only:
-        stats.ro_aborted += 1
-    else:
-        stats.update_aborted += 1
     if tx.abort_witness is None:
         raise InvariantViolation(
             f"transaction {tx.id} aborted without a conflict witness"
@@ -190,9 +179,21 @@ def _worker(
                 if aborts > retry_limit:
                     stats.gave_up += 1
                     break
-                stats.retries += 1
     except BaseException as exc:  # surfaced by run() after the join
         stats.error = exc
+
+
+def _tally(history: History) -> Counter:
+    """Terminal events keyed by (kind, is update): a transaction that
+    recorded a write is an update transaction, any other is read-only."""
+    writers: set[int] = set()
+    tally: Counter = Counter()
+    for e in history.events:
+        if e.kind == WRITE:
+            writers.add(e.tx)
+        elif e.kind in TERMINALS:
+            tally[e.kind, e.tx in writers] += 1
+    return tally
 
 
 @dataclass
@@ -332,24 +333,28 @@ def run(config: WorkloadConfig, watchdog: float = WATCHDOG_SECONDS) -> RunReport
         raise InvariantViolation(
             f"lock order violated: {monitor.violations[:3]}"
         )
-    ro_aborted = sum(s.ro_aborted for s in stats)
+    history = recorder.history()
+    tally = _tally(history)
+    ro_aborted = tally[ABORT, False]
     if ro_aborted:
         raise InvariantViolation(
             f"{ro_aborted} read-only transactions aborted; reads never conflict"
         )
-    history = recorder.history()
     verdict = check_with_order(history, timestamp_order(history))
+    update_aborted = tally[ABORT, True]
+    gave_up = sum(s.gave_up for s in stats)
     return RunReport(
         config=config,
         history=history,
         verdict=verdict,
         wall_seconds=wall,
-        ro_committed=sum(s.ro_committed for s in stats),
+        ro_committed=tally[COMMIT, False],
         ro_aborted=ro_aborted,
-        update_committed=sum(s.update_committed for s in stats),
-        update_aborted=sum(s.update_aborted for s in stats),
-        retries=sum(s.retries for s in stats),
-        gave_up=sum(s.gave_up for s in stats),
+        update_committed=tally[COMMIT, True],
+        update_aborted=update_aborted,
+        # every abort is retried except the last of a script given up on
+        retries=update_aborted - gave_up,
+        gave_up=gave_up,
         witnesses=tuple(w for s in stats for w in s.witnesses),
         versions_per_object={
             oid: len(registry.tobject(oid).versions)

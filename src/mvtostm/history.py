@@ -18,7 +18,7 @@ integers). Within one transaction all reads precede all writes, a begin
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 from .errors import HistoryFormatError
 
@@ -38,18 +38,13 @@ class Event:
     tx: int
     obj: str | None = None
     value: int | None = None
-    seq: int = 0
+    # accepted and ignored: an event's order is its index in its history
+    seq: InitVar[int] = 0
 
     def line(self) -> str:
         if self.kind in (READ, WRITE):
             return f"{self.kind} {self.tx} {self.obj} {self.value}"
         return f"{self.kind} {self.tx}"
-
-
-def _resequence(events) -> tuple[Event, ...]:
-    return tuple(
-        Event(e.kind, e.tx, e.obj, e.value, i) for i, e in enumerate(events)
-    )
 
 
 def well_formedness_violation(events) -> tuple[int, str] | None:
@@ -117,7 +112,7 @@ class History:
             out.append(e)
             if e.tx in live and last[e.tx] == i:
                 out.append(Event(ABORT, e.tx))
-        return History(_resequence(out))
+        return History(tuple(out))
 
     def serialize(self) -> str:
         if not self.events:
@@ -159,7 +154,7 @@ def parse(text: str) -> History:
                 value = int(tokens[3], 10)
             except ValueError:
                 raise HistoryFormatError(line_no, f"bad value {tokens[3]!r}") from None
-        events.append(Event(kind, tx, obj, value, seq=len(events)))
+        events.append(Event(kind, tx, obj, value))
         lines.append(line_no)
     bad = well_formedness_violation(events)
     if bad is not None:
@@ -207,7 +202,7 @@ class Recorder:
     def on_event(self, kind: str, tx: int, obj=None, value=None) -> None:
         name = self._object_name(obj) if obj is not None else None
         with self._guard:
-            self._events.append(Event(kind, tx, name, value, seq=len(self._events)))
+            self._events.append(Event(kind, tx, name, value))
 
     def on_version_insert(self, obj, ts: int) -> None:
         self._note("insert", obj, ts)

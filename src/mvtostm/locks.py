@@ -29,7 +29,10 @@ class FairLock:
                 self._cond.wait()
 
     def release(self) -> None:
+        """Serve the next ticket; RuntimeError if unheld, as threading.Lock."""
         with self._cond:
+            if self._serving == self._next_ticket:
+                raise RuntimeError("release unlocked lock")
             self._serving += 1
             self._cond.notify_all()
 

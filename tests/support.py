@@ -24,7 +24,6 @@ from mvtostm.history import (
     Event,
     History,
     VersionNote,
-    _resequence,
 )
 
 # Printed by conftest's terminal summary hook after the run.
@@ -167,7 +166,7 @@ def random_well_formed_history(seed: int) -> History:
         merged.append(per_tx[lane].pop(0))
         if not per_tx[lane]:
             per_tx.pop(lane)
-    return History(_resequence(merged))
+    return History(tuple(merged))
 
 
 def random_legal_tseq(seed: int) -> History:
@@ -200,7 +199,7 @@ def random_legal_tseq(seed: int) -> History:
             state.update(staged)
         else:
             events.append(Event(ABORT, tx))
-    return History(_resequence(events))
+    return History(tuple(events))
 
 
 def mutate_illegal(seed: int, history: History) -> History | None:
@@ -216,7 +215,7 @@ def mutate_illegal(seed: int, history: History) -> History | None:
         events[target], value=events[target].value + 1 + rng.randint(0, 3)
     )
     events[target] = bad
-    return History(_resequence(events))
+    return History(tuple(events))
 
 
 def shuffle_preserving_tx_order(seed: int, history: History) -> History:
@@ -233,7 +232,7 @@ def shuffle_preserving_tx_order(seed: int, history: History) -> History:
         merged.append(pending[lane].pop(0))
         if not pending[lane]:
             pending.pop(lane)
-    return History(_resequence(merged))
+    return History(tuple(merged))
 
 
 # ------------------------------------------------------------------ oracles

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from mvtostm import harness
@@ -133,15 +135,36 @@ class TestRun:
         assert report.update_aborted > 0, "no contention in any seed"
 
     def test_report_counts_are_consistent(self):
-        cfg = WorkloadConfig(threads=2, txs_per_thread=10, seed=9)
-        report = run(cfg)
-        total = cfg.threads * cfg.txs_per_thread
-        assert report.committed + report.gave_up == total
-        assert report.update_aborted == len(report.witnesses)
-        assert len(report.versions_per_object) == cfg.object_count
-        kv = report.key_values()
+        # The commit and abort tallies are counted from the history;
+        # gave_up and the witnesses are kept by the workers. The three
+        # records must agree on every input.
+        shapes = itertools.product((2, 4, 8), (None, 1, 2), (0, 1, 2))
+        configs = [WorkloadConfig(threads=2, txs_per_thread=10, seed=9)] + [
+            WorkloadConfig(
+                threads=threads,
+                txs_per_thread=10,
+                object_count=4,
+                gc_threshold=gc,
+                retry_limit=retry,
+                seed=seed,
+            )
+            for seed, (threads, gc, retry) in enumerate(shapes)
+        ]
+        reports = [run(cfg) for cfg in configs]
+        for cfg, report in zip(configs, reports):
+            total = cfg.threads * cfg.txs_per_thread
+            scripts = [s for w in range(cfg.threads) for s in thread_script(cfg, w)]
+            # read-only transactions never abort, so each commits once
+            assert report.ro_committed == sum(s.read_only for s in scripts), cfg
+            assert report.update_aborted == len(report.witnesses), cfg
+            assert report.committed + report.gave_up == total, cfg
+            assert report.retries == report.aborted - report.gave_up, cfg
+            assert len(report.versions_per_object) == cfg.object_count
+        assert any(r.gave_up > 0 for r in reports), "no input gave up a script"
+        assert any(r.update_aborted > 0 for r in reports), "no contention"
+        kv = reports[0].key_values()
         assert kv["threads"] == 2 and kv["verdict"] == "opaque"
-        text = report.format_report()
+        text = reports[0].format_report()
         assert "committed" in text and "verdict" in text
 
     def test_gc_run_deletes_versions(self):

@@ -1,6 +1,8 @@
 import threading
 import time
 
+import pytest
+
 from mvtostm.locks import FairLock, LockOrderMonitor
 
 
@@ -65,6 +67,26 @@ class TestFairLock:
             with lock:
                 pass
         assert not lock.locked()
+
+    def test_stray_release_raises_and_lock_still_works(self):
+        lock = FairLock()
+        with lock:
+            pass
+        with pytest.raises(RuntimeError):
+            lock.release()
+        assert not lock.locked()
+        acquired = threading.Event()
+
+        def take():
+            with lock:
+                acquired.set()
+
+        # a helper thread, so a lock broken by the stray release fails
+        # the test instead of hanging it
+        t = threading.Thread(target=take, daemon=True)
+        t.start()
+        t.join(2.0)
+        assert acquired.is_set(), "acquire did not return after a stray release"
 
 
 class TestLockOrderMonitor:
