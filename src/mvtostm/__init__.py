@@ -25,13 +25,11 @@ from .checker import (
     illegal_read,
     invalid_read,
     is_t_sequential,
-    legality,
     real_time_pairs,
     sequential_order,
     serialization_from,
     timestamp_order,
     topological_order,
-    validity,
 )
 from .core import (
     ABORTED,
@@ -123,7 +121,6 @@ __all__ = [
     "illegal_read",
     "invalid_read",
     "is_t_sequential",
-    "legality",
     "parse",
     "parse_script",
     "real_time_pairs",
@@ -134,6 +131,5 @@ __all__ = [
     "thread_script",
     "timestamp_order",
     "topological_order",
-    "validity",
     "well_formedness_violation",
 ]

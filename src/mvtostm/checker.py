@@ -116,11 +116,6 @@ def invalid_read(history: History) -> Event | None:
     return None
 
 
-def validity(history: History) -> bool:
-    """Every read returns a value some transaction committed before it."""
-    return invalid_read(history) is None
-
-
 def real_time_pairs(history: History) -> set[tuple[int, int]]:
     """(a, b) pairs where a terminated before b's first event."""
     first: dict[int, int] = {}
@@ -199,10 +194,6 @@ def illegal_read(history: History) -> Event | None:
         elif e.kind == ABORT:
             staged.pop(e.tx, None)
     return None
-
-
-def legality(history: History) -> bool:
-    return illegal_read(history) is None
 
 
 def equivalent(h1: History, h2: History) -> bool:
@@ -389,14 +380,12 @@ class Verdict:
 
     def summary(self) -> str:
         if self.status == "opaque":
-            if self.order is not None:
-                objects = len(self.order)
-                txns = len({t for ts in self.order.values() for t in ts} - {0})
-                return (
-                    f"opaque: {txns} writer(s), {objects} object(s), "
-                    f"{self.orders_tested} order(s) tried"
-                )
-            return "opaque"
+            objects = len(self.order)
+            txns = len({t for ts in self.order.values() for t in ts} - {0})
+            return (
+                f"opaque: {txns} writer(s), {objects} object(s), "
+                f"{self.orders_tested} order(s) tried"
+            )
         if self.status == "not_opaque":
             if self.cycle is not None:
                 loop = "->".join(str(v) for v in self.cycle + self.cycle[:1])
@@ -514,18 +503,14 @@ def check_with_order(history: History, order: VersionOrder) -> Verdict:
     return _order_verdict(_Analysis(history), order)
 
 
-def _check_with_graph(history: History, order: VersionOrder) -> Verdict:
-    """check_with_order without the ascending shortcut: always builds the
-    graph. The reference that the shortcut is tested against."""
-    bad = invalid_read(history)
-    if bad is not None:
-        return _invalid(bad)
-    analysis = _Analysis(history)
-    analysis.validate_order(order)
-    return _graph_verdict(analysis, order)
+def _search(analysis: _Analysis, budget: int, ascending: Verdict) -> Verdict:
+    """Enumerate every version order, ascending first, until one graph
+    is acyclic.
 
-
-def _search(analysis: _Analysis, budget: int) -> Verdict:
+    The ascending order's not-opaque verdict is passed in as ascending,
+    so that order is counted without building its graph again, and its
+    cycle is the one reported.
+    """
     objs = sorted(analysis.writes)
     total = math.prod(math.factorial(len(analysis.writes[obj])) for obj in objs)
     if total > budget:
@@ -533,14 +518,14 @@ def _search(analysis: _Analysis, budget: int) -> Verdict:
             "undecided",
             detail=f"{total} candidate version orders exceed budget {budget}",
         )
-    tested = 0
-    first_cycle: list[int] | None = None
-    for combo in itertools.product(
+    orders = itertools.product(
         *(itertools.permutations(sorted(analysis.writes[obj])) for obj in objs)
-    ):
-        tested += 1
+    )
+    next(orders)
+    tested = 1
+    for tested, combo in enumerate(orders, start=2):
         order = dict(zip(objs, combo))
-        topo, cycle = topological_order(analysis.graph(order))
+        topo, _ = topological_order(analysis.graph(order))
         if topo is not None:
             return Verdict(
                 "opaque",
@@ -548,30 +533,24 @@ def _search(analysis: _Analysis, budget: int) -> Verdict:
                 serialization=_certified_serialization(analysis, topo),
                 orders_tested=tested,
             )
-        if first_cycle is None:
-            first_cycle = cycle
     return Verdict(
         "not_opaque",
-        cycle=first_cycle,
+        cycle=ascending.cycle,
         detail=f"no version order yields an acyclic graph ({tested} tried)",
         orders_tested=tested,
     )
 
 
-def check_brute_force(history: History, budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Decide opacity by enumerating every version order.
-
-    Never guesses: when the candidate count exceeds the budget the
-    verdict is undecided rather than wrong.
-    """
-    bad = invalid_read(history)
-    if bad is not None:
-        return _invalid(bad)
-    return _search(_Analysis(history), budget)
-
-
 def check_auto(history: History, budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Timestamp order first; exhaustive search only when that fails."""
+    """Decide opacity over every version order; check_brute_force is
+    the same function.
+
+    The timestamp order goes first, certified by its ascending
+    serialization or by its graph. Only when it fails are the other
+    orders enumerated, one graph each. The search never guesses: when
+    the candidate count exceeds the budget the verdict is undecided
+    rather than wrong.
+    """
     bad = invalid_read(history)
     if bad is not None:
         return _invalid(bad)
@@ -579,4 +558,7 @@ def check_auto(history: History, budget: int = DEFAULT_BUDGET) -> Verdict:
     ts = _order_verdict(analysis, _ascending_order(analysis.writes))
     if ts.opaque:
         return ts
-    return _search(analysis, budget)
+    return _search(analysis, budget, ts)
+
+
+check_brute_force = check_auto

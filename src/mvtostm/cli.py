@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from . import checker, harness
-from .errors import ConfigError, HistoryFormatError, ReplayError
+from .errors import HistoryFormatError, ReplayError, StmError
 from .history import parse
 
 EXIT_OPAQUE = 0
@@ -36,10 +36,10 @@ def opacity_check_main(argv: list[str] | None = None) -> int:
     ap.add_argument("file", help="history file (b/r/w/c/a lines)")
     ap.add_argument(
         "--order",
-        choices=("auto", "ts", "brute"),
+        choices=("auto", "ts"),
         default="auto",
-        help="version order strategy: ascending timestamps, exhaustive "
-        "search, or timestamps with exhaustive fallback (default)",
+        help="version order strategy: ascending timestamps only, or "
+        "timestamps with exhaustive fallback (default)",
     )
     ap.add_argument(
         "--budget",
@@ -65,8 +65,6 @@ def opacity_check_main(argv: list[str] | None = None) -> int:
             verdict = checker.check_with_order(
                 history, checker.timestamp_order(history)
             )
-        elif args.order == "brute":
-            verdict = checker.check_brute_force(history, args.budget)
         else:
             verdict = checker.check_auto(history, args.budget)
     except ValueError as exc:  # non-unique written values
@@ -130,9 +128,9 @@ def stress_main(argv: list[str] | None = None) -> int:
             seed=args.seed,
             retry_limit=args.retry_limit,
         )
-    except ConfigError as exc:
+        report = harness.run(config)
+    except (StmError, TimeoutError) as exc:
         return _fail(str(exc))
-    report = harness.run(config)
     print(report.format_report())
     for key, value in report.key_values().items():
         print(f"{key}={value}")

@@ -171,11 +171,6 @@ class Registry:
         with self._live_lock:
             return set(self._live)
 
-    @property
-    def counter(self) -> int:
-        with self._live_lock:
-            return self._counter
-
     # -- protocol operations
 
     def begin(self) -> Transaction:

@@ -9,9 +9,12 @@ two is evidence and not circularity.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import replace
 
+from mvtostm import checker
+from mvtostm.checker import Verdict, invalid_read
 from mvtostm.core import ABORTED, COMMITTED, Registry, Transaction, VersionTuple
 from mvtostm.errors import UsageError
 from mvtostm.history import (
@@ -199,6 +202,51 @@ def random_legal_tseq(seed: int) -> History:
             state.update(staged)
         else:
             events.append(Event(ABORT, tx))
+    return History(tuple(events))
+
+
+def random_concurrent_history(seed: int) -> History:
+    """Five transactions over objects x, y, z, at most three open at
+    once, about one in ten aborted.
+
+    Every read returns a value committed before it: the newest one, or
+    half the time an older one when there is any, so most of these
+    histories are not opaque under any version order. Written values
+    are unique.
+    """
+    rng = random.Random(f"concurrent/{seed}")
+    objects = ("x", "y", "z")
+    waiting = []
+    for tx in range(1, 6):
+        steps = [(BEGIN, tx, None)]
+        steps += [(READ, tx, rng.choice(objects)) for _ in range(rng.randint(1, 2))]
+        steps += [(WRITE, tx, obj) for obj in rng.sample(objects, rng.randint(0, 2))]
+        steps.append((ABORT if rng.random() < 0.1 else COMMIT, tx, None))
+        waiting.append(steps)
+    committed = {obj: [0] for obj in objects}
+    staged: dict[int, dict[str, int]] = {}
+    events: list[Event] = []
+    value = 0
+    running: list[list[tuple]] = []
+    while waiting or running:
+        if waiting and len(running) < 3 and (not running or rng.random() < 0.5):
+            running.append(waiting.pop(0))
+        lane = rng.randrange(len(running))
+        kind, tx, obj = running[lane].pop(0)
+        if not running[lane]:
+            running.pop(lane)
+        val = None
+        if kind == READ:
+            values = committed[obj]
+            older = values[:-1]
+            val = rng.choice(older) if older and rng.random() < 0.5 else values[-1]
+        elif kind == WRITE:
+            value += 1
+            val = staged.setdefault(tx, {})[obj] = value
+        elif kind == COMMIT:
+            for o, v in staged.pop(tx, {}).items():
+                committed[o].append(v)
+        events.append(Event(kind, tx, obj, val))
     return History(tuple(events))
 
 
@@ -433,6 +481,68 @@ def oracle_acyclic_dfs(vertices, pairs) -> bool:
         return True
 
     return all(color[v] != WHITE or visit(v) for v in sorted(vertices))
+
+
+# ------------------------------------------------------- graph references
+#
+# Unlike the oracles above, these decide through the package's own graph
+# machinery. They are the plain graph path that the checker's shortcuts
+# must reproduce verdict for verdict.
+
+
+def check_with_graph(history: History, order) -> Verdict:
+    """check_with_order without the ascending shortcut: always builds the
+    graph, through checker._graph_verdict."""
+    bad = invalid_read(history)
+    if bad is not None:
+        return checker._invalid(bad)
+    analysis = checker._Analysis(history)
+    analysis.validate_order(order)
+    return checker._graph_verdict(analysis, order)
+
+
+def brute_force_reference(history: History, budget: int) -> Verdict:
+    """Exhaustive search with no timestamp shortcut.
+
+    Counts the candidate orders against the budget first, then builds
+    one graph per version order, starting from the ascending one, and
+    keeps the first cycle it meets. Any faster search must give the same
+    Verdict wherever this one decides.
+    """
+    bad = invalid_read(history)
+    if bad is not None:
+        return checker._invalid(bad)
+    analysis = checker._Analysis(history)
+    objs = sorted(analysis.writes)
+    total = math.prod(math.factorial(len(analysis.writes[obj])) for obj in objs)
+    if total > budget:
+        return Verdict(
+            "undecided",
+            detail=f"{total} candidate version orders exceed budget {budget}",
+        )
+    tested = 0
+    first_cycle = None
+    for combo in itertools.product(
+        *(itertools.permutations(sorted(analysis.writes[obj])) for obj in objs)
+    ):
+        tested += 1
+        order = dict(zip(objs, combo))
+        topo, cycle = checker.topological_order(analysis.graph(order))
+        if topo is not None:
+            return Verdict(
+                "opaque",
+                order=order,
+                serialization=checker._certified_serialization(analysis, topo),
+                orders_tested=tested,
+            )
+        if first_cycle is None:
+            first_cycle = cycle
+    return Verdict(
+        "not_opaque",
+        cycle=first_cycle,
+        detail=f"no version order yields an acyclic graph ({tested} tried)",
+        orders_tested=tested,
+    )
 
 
 # ------------------------------------------------------ nts-chain reference

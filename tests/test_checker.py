@@ -16,13 +16,11 @@ from mvtostm.checker import (
     illegal_read,
     invalid_read,
     is_t_sequential,
-    legality,
     real_time_pairs,
     sequential_order,
     serialization_from,
     timestamp_order,
     topological_order,
-    validity,
 )
 from mvtostm.errors import UsageError
 from mvtostm.harness import WorkloadConfig, replay, run
@@ -66,7 +64,6 @@ class TestProjections:
 
 class TestValidity:
     def test_reference_history_is_valid(self, reference):
-        assert validity(reference)
         assert invalid_read(reference) is None
 
     def test_unwritten_value_is_invalid(self):
@@ -76,7 +73,7 @@ class TestValidity:
     def test_commit_must_precede_the_read(self):
         h = parse("r 1 x 7\nw 2 x 7\nc 2\n")
         assert invalid_read(h).line() == "r 1 x 7"
-        assert validity(parse("w 2 x 7\nc 2\nr 1 x 7\n"))
+        assert invalid_read(parse("w 2 x 7\nc 2\nr 1 x 7\n")) is None
 
     def test_duplicate_committed_values_are_ambiguous(self):
         h = parse("w 1 x 7\nc 1\nw 2 x 7\nc 2\nr 3 x 7\n")
@@ -107,11 +104,11 @@ class TestSequential:
 
     def test_legal_walk(self):
         h = parse("r 1 x 0\nw 1 x 5\nc 1\nr 2 x 5\nc 2\n")
-        assert legality(h)
+        assert illegal_read(h) is None
 
     def test_uncommitted_writes_invisible(self):
         h = parse("w 1 x 5\na 1\nr 2 x 0\nc 2\n")
-        assert legality(h)
+        assert illegal_read(h) is None
         bad = parse("w 1 x 5\na 1\nr 2 x 5\nc 2\n")
         assert illegal_read(bad).line() == "r 2 x 5"
 
@@ -292,13 +289,25 @@ class TestVerdicts:
         assert v.orders_tested == 1  # fast path, no search needed
         s = v.serialization
         assert is_t_sequential(s)
-        assert legality(s)
+        assert illegal_read(s) is None
         assert equivalent(s, h.complete())
 
     def test_undecided_when_budget_exceeded(self, reference):
         v = check_brute_force(reference, budget=10)
         assert v.status == "undecided"
         assert "budget" in v.detail
+
+    def test_brute_force_is_check_auto(self):
+        assert check_brute_force is check_auto
+
+    def test_working_timestamp_order_needs_no_budget(self):
+        # 4! = 24 version orders of x exceed the budget, but the first,
+        # ascending one already works
+        h = parse("w 1 x 1\nc 1\nw 2 x 2\nc 2\nw 3 x 3\nc 3\n")
+        v = check_brute_force(h, budget=1)
+        assert v.status == "opaque"
+        assert v.orders_tested == 1
+        assert v.order == {"x": (0, 1, 2, 3)}
 
     def test_auto_falls_back_to_search(self, reference):
         v = check_auto(reference)
@@ -342,6 +351,20 @@ class TestVerdicts:
             )
 
 
+class TestSearchAgainstDefinition:
+    def test_concurrent_histories(self):
+        # Concurrent histories with stale reads reach both verdicts; the
+        # exhaustive search must match opacity by definition on each.
+        verdicts = {True: 0, False: 0}
+        for seed in range(150):
+            h = support.random_concurrent_history(seed)
+            v = check_auto(h)
+            assert v.status in ("opaque", "not_opaque"), (seed, v.summary())
+            assert v.opaque == support.oracle_opaque_by_search(h), seed
+            verdicts[v.opaque] += 1
+        assert verdicts[True] >= 30 and verdicts[False] >= 30, verdicts
+
+
 class TestSequentialHistoriesAreOpaque:
     @settings(max_examples=60)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -367,10 +390,10 @@ def _outcome(check, *args):
 
 def _auto_by_graph(history: History, budget: int):
     """check_auto decided by the graph path alone, the shortcut's reference."""
-    ts = checker._check_with_graph(history, timestamp_order(history))
+    ts = support.check_with_graph(history, timestamp_order(history))
     if ts.status in ("opaque", "invalid"):
         return ts
-    return check_brute_force(history, budget)
+    return support.brute_force_reference(history, budget)
 
 
 def _renumbered(seed: int, history: History) -> History:
@@ -414,14 +437,17 @@ def _same_verdicts(history: History, order, graph_calls) -> bool:
     before = len(graph_calls)
     fast = _outcome(check_with_order, history, order)
     certified = len(graph_calls) == before and getattr(fast, "opaque", False)
-    assert fast == _outcome(checker._check_with_graph, history, order)
+    assert fast == _outcome(support.check_with_graph, history, order)
     return certified
 
 
 def _same_auto(history: History) -> None:
-    assert _outcome(check_auto, history, DIFF_BUDGET) == _outcome(
-        _auto_by_graph, history, DIFF_BUDGET
-    )
+    auto = _outcome(check_auto, history, DIFF_BUDGET)
+    assert auto == _outcome(_auto_by_graph, history, DIFF_BUDGET)
+    # check_brute_force is check_auto: one call answers for both names
+    reference = _outcome(support.brute_force_reference, history, DIFF_BUDGET)
+    if getattr(reference, "status", None) != "undecided":
+        assert auto == reference
 
 
 def _random_schedule(seed: int) -> str:
@@ -519,7 +545,7 @@ class TestAscendingShortcut:
         # real time rules out the ascending order, the graph puts 2 first
         h = parse("b 2\nw 2 x 1\nc 2\nb 1\nw 1 y 1\nc 1\n")
         v = check_with_order(h, timestamp_order(h))
-        assert v == checker._check_with_graph(h, timestamp_order(h))
+        assert v == support.check_with_graph(h, timestamp_order(h))
         assert v.status == "opaque"
         assert [e.tx for e in v.serialization] == [2, 2, 2, 1, 1, 1]
 
@@ -528,7 +554,7 @@ class TestAscendingShortcut:
         # time stops 2 before 1
         h = parse("b 1\nb 2\nw 2 x 1\nc 2\nr 1 x 1\nc 1\n")
         v = check_with_order(h, timestamp_order(h))
-        assert v == checker._check_with_graph(h, timestamp_order(h))
+        assert v == support.check_with_graph(h, timestamp_order(h))
         assert v.status == "opaque"
         assert [e.tx for e in v.serialization] == [2, 2, 2, 1, 1, 1]
 
@@ -539,6 +565,6 @@ class TestAscendingShortcut:
         h = parse("w 1 x 1\nc 1\nw 2 x 2\nc 2\nr 3 x 2\nc 3\n")
         order = {"x": (0, 2, 1)}
         v = check_with_order(h, order)
-        assert v == checker._check_with_graph(h, order)
+        assert v == support.check_with_graph(h, order)
         assert v.status == "not_opaque"
         assert v.cycle == [1, 3]

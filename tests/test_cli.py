@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import mvtostm
+from mvtostm import harness
 from mvtostm.cli import opacity_check_main, replay_main, stress_main
+from mvtostm.errors import InvariantViolation
 from mvtostm.history import parse
 from tests import support
 
@@ -37,11 +39,18 @@ class TestOpacityCheck:
         assert opacity_check_main([opaque_file]) == 0
         assert "opaque" in capsys.readouterr().out
 
-    def test_order_ts_and_brute_agree_here(self, reference_file, opaque_file):
+    def test_order_ts_and_auto_agree_here(self, reference_file, opaque_file):
         assert opacity_check_main([reference_file, "--order", "ts"]) == 1
-        assert opacity_check_main([reference_file, "--order", "brute"]) == 1
+        assert opacity_check_main([reference_file, "--order", "auto"]) == 1
         assert opacity_check_main([opaque_file, "--order", "ts"]) == 0
-        assert opacity_check_main([opaque_file, "--order", "brute"]) == 0
+        assert opacity_check_main([opaque_file, "--order", "auto"]) == 0
+
+    def test_order_brute_is_rejected(self, reference_file, capsys):
+        # auto already searches every version order when timestamps fail
+        with pytest.raises(SystemExit) as exc:
+            opacity_check_main([reference_file, "--order", "brute"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'brute'" in capsys.readouterr().err
 
     def test_emit_witness_output_is_checkable(self, opaque_file, capsys):
         assert opacity_check_main([opaque_file, "--emit-witness"]) == 0
@@ -52,14 +61,14 @@ class TestOpacityCheck:
             l for l in out.splitlines()[1:] if not l.startswith("#")
         )
         witness = parse(body + "\n")
-        from mvtostm.checker import equivalent, is_t_sequential, legality
+        from mvtostm.checker import equivalent, illegal_read, is_t_sequential
 
         assert is_t_sequential(witness)
-        assert legality(witness)
+        assert illegal_read(witness) is None
         assert equivalent(witness, parse(support.REFERENCE_REPLAYED).complete())
 
     def test_small_budget_is_undecided(self, reference_file, capsys):
-        rc = opacity_check_main([reference_file, "--order", "brute", "--budget", "10"])
+        rc = opacity_check_main([reference_file, "--order", "auto", "--budget", "10"])
         assert rc == 2
         assert "undecided" in capsys.readouterr().out
 
@@ -142,6 +151,23 @@ class TestStress:
     def test_inverted_range_exits_two(self, capsys):
         assert stress_main(["--reads", "3..1"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            InvariantViolation("live set not drained: [3]"),
+            TimeoutError("watchdog: workers [0] still running after 60 s"),
+        ],
+        ids=["invariant", "watchdog"],
+    )
+    def test_run_failure_exits_two(self, monkeypatch, capsys, exc):
+        # exit 1 means a non-opaque history, so a failed run must not reach it
+        def failing(config):
+            raise exc
+
+        monkeypatch.setattr(harness, "run", failing)
+        assert stress_main(["--threads", "1", "--txs", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {exc}\n"
 
     def test_unparseable_range_rejected(self, capsys):
         with pytest.raises(SystemExit):

@@ -77,8 +77,8 @@ class TestRegistryBasics:
     def test_ids_are_sequential_from_one(self):
         reg = Registry(2)
         assert [reg.begin().id for _ in range(3)] == [1, 2, 3]
-        assert reg.counter == 4
         assert reg.live_ids() == {1, 2, 3}
+        assert reg.begin().id == 4
 
     def test_unknown_object_rejected(self):
         reg = Registry(2)
