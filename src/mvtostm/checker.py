@@ -28,6 +28,14 @@ higher one, so the ascending order is exactly the topological order
 the graph would yield, and the graph is never built. This is the
 common case on MVTO histories, where timestamp order is the witness.
 Otherwise the graph decides, as above.
+
+When the timestamp order fails, check_auto enumerates the other version
+orders in a fixed order: objects sorted, each object's writers through
+their permutations in lexicographic order, ascending first. It walks
+them object by object. A prefix whose edges already close a cycle
+leaves every completion cyclic, so all its completions are counted as
+tried and skipped without a graph. The verdict, the order found and
+the number of orders tried are those of building one graph per order.
 """
 
 from __future__ import annotations
@@ -503,40 +511,124 @@ def check_with_order(history: History, order: VersionOrder) -> Verdict:
     return _order_verdict(_Analysis(history), order)
 
 
+def _closure(size: int, pairs) -> list[int] | None:
+    """Per vertex index, the bit set of the vertices it reaches over
+    pairs, or None when pairs close a cycle."""
+    succ: list[list[int]] = [[] for _ in range(size)]
+    indeg = [0] * size
+    for u, v in pairs:
+        succ[u].append(v)
+        indeg[v] += 1
+    order = [v for v in range(size) if not indeg[v]]
+    for v in order:  # grows while it is walked: Kahn's peeling
+        for w in succ[v]:
+            indeg[w] -= 1
+            if not indeg[w]:
+                order.append(w)
+    if len(order) < size:
+        return None
+    reach = [0] * size
+    for v in reversed(order):
+        for w in succ[v]:
+            reach[v] |= reach[w] | 1 << w
+    return reach
+
+
+def _extended(reach: list[int], pairs) -> list[int] | None:
+    """A copy of the closure reach with pairs added, or None when one of
+    them closes a cycle."""
+    reach = reach.copy()
+    for u, v in pairs:
+        if reach[v] >> u & 1:
+            return None
+        gain = reach[v] | 1 << v
+        if reach[u] & gain == gain:
+            continue
+        bit = 1 << u
+        for w, r in enumerate(reach):
+            if w == u or r & bit:
+                reach[w] = r | gain
+    return reach
+
+
 def _search(analysis: _Analysis, budget: int, ascending: Verdict) -> Verdict:
     """Enumerate every version order, ascending first, until one graph
     is acyclic.
 
-    The ascending order's not-opaque verdict is passed in as ascending,
-    so that order is counted without building its graph again, and its
-    cycle is the one reported.
+    The orders are the product, over objects in sorted order, of each
+    object's writer permutations, walked object by object in that same
+    order. The rt, rf and T0 edges are the same under every order, so
+    their reachability closure is built once per history. An object's
+    mv edges depend only on its own permutation; they are added to the
+    closure of the prefix when the walk chooses that permutation, so
+    memory stays that of one path. Edges only accumulate along a
+    prefix, so a prefix whose edges already close a cycle leaves every
+    completion cyclic: those completions are counted as tried and
+    skipped. Only the order found gets a graph and a topological sort,
+    for its witness. The verdict, the order and the count are therefore
+    those of building one graph per order in turn. When no order is
+    acyclic, the ascending order's cycle, passed in as ascending, is
+    the one reported.
     """
     objs = sorted(analysis.writes)
-    total = math.prod(math.factorial(len(analysis.writes[obj])) for obj in objs)
+    writers = [sorted(analysis.writes[obj]) for obj in objs]
+    sizes = [math.factorial(len(ws)) for ws in writers]
+    total = math.prod(sizes)
     if total > budget:
         return Verdict(
             "undecided",
             detail=f"{total} candidate version orders exceed budget {budget}",
         )
-    orders = itertools.product(
-        *(itertools.permutations(sorted(analysis.writes[obj])) for obj in objs)
+    index = {v: i for i, v in enumerate(sorted(analysis.vertices))}
+    reads_of: dict[str, list] = defaultdict(list)
+    for read in analysis.reads:
+        reads_of[read[1]].append(read)
+    # orders below one choice at each depth
+    completions = [math.prod(sizes[d + 1 :]) for d in range(len(objs))]
+    root = _closure(
+        len(index), [(index[u], index[v]) for u, v, _ in analysis.static_edges]
     )
-    next(orders)
-    tested = 1
-    for tested, combo in enumerate(orders, start=2):
-        order = dict(zip(objs, combo))
-        topo, _ = topological_order(analysis.graph(order))
-        if topo is not None:
-            return Verdict(
-                "opaque",
-                order=order,
-                serialization=_certified_serialization(analysis, topo),
-                orders_tested=tested,
+    tested = 0 if root is not None else total
+    found = None
+    # depth-first in product order; a frame holds the closure of the edges
+    # its prefix fixes and the permutations left for the next object
+    stack = []
+    if root is not None:
+        stack.append((root, (), itertools.permutations(writers[0])))
+    while stack:
+        reach, prefix, perms = stack[-1]
+        perm = next(perms, None)
+        if perm is None:
+            stack.pop()
+            continue
+        d = len(prefix)
+        positions = {objs[d]: {w: p for p, w in enumerate(perm)}}
+        mv = _mv_edges(reads_of[objs[d]], analysis.writes, positions)
+        extended = _extended(reach, [(index[u], index[v]) for u, v, _ in mv])
+        if extended is None:
+            tested += completions[d]
+        elif d + 1 < len(objs):
+            stack.append(
+                (extended, prefix + (perm,), itertools.permutations(writers[d + 1]))
             )
+        else:
+            tested += 1
+            found = dict(zip(objs, prefix + (perm,)))
+            break
+    if found is None:
+        return Verdict(
+            "not_opaque",
+            cycle=ascending.cycle,
+            detail=f"no version order yields an acyclic graph ({tested} tried)",
+            orders_tested=tested,
+        )
+    topo, _ = topological_order(analysis.graph(found))
+    if topo is None:
+        raise InvariantViolation(f"search accepted the cyclic version order {found}")
     return Verdict(
-        "not_opaque",
-        cycle=ascending.cycle,
-        detail=f"no version order yields an acyclic graph ({tested} tried)",
+        "opaque",
+        order=found,
+        serialization=_certified_serialization(analysis, topo),
         orders_tested=tested,
     )
 
@@ -547,9 +639,10 @@ def check_auto(history: History, budget: int = DEFAULT_BUDGET) -> Verdict:
 
     The timestamp order goes first, certified by its ascending
     serialization or by its graph. Only when it fails are the other
-    orders enumerated, one graph each. The search never guesses: when
-    the candidate count exceeds the budget the verdict is undecided
-    rather than wrong.
+    orders searched, object by object, skipping the completions of
+    every cyclic prefix. The search never guesses: when the candidate
+    count exceeds the budget the verdict is undecided rather than
+    wrong.
     """
     bad = invalid_read(history)
     if bad is not None:

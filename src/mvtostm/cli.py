@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -28,7 +29,9 @@ def _read_file(path: str) -> str | None:
         return None
 
 
-def opacity_check_main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _checker_parser() -> argparse.ArgumentParser:
+    """opacity-check's parser, built once: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="opacity-check",
         description="Decide whether a recorded history is opaque.",
@@ -52,7 +55,11 @@ def opacity_check_main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="on an opaque verdict, print the witness order and serialization",
     )
-    args = ap.parse_args(argv)
+    return ap
+
+
+def opacity_check_main(argv: list[str] | None = None) -> int:
+    args = _checker_parser().parse_args(argv)
     text = _read_file(args.file)
     if text is None:
         return EXIT_UNDECIDED

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 
@@ -363,6 +364,110 @@ class TestSearchAgainstDefinition:
             assert v.opaque == support.oracle_opaque_by_search(h), seed
             verdicts[v.opaque] += 1
         assert verdicts[True] >= 30 and verdicts[False] >= 30, verdicts
+
+
+# T1 and T2 write x concurrently; T3 reads T1's x after both committed,
+# so under x order 0, 1, 2 the mv edge 3->2 meets the rt edge 2->3. x
+# order 0, 2, 1 with the ascending y order works.
+CYCLIC_FIRST_PREFIX_TEXT = """\
+b 1
+b 2
+w 1 x 1
+w 2 x 2
+c 1
+c 2
+b 3
+r 3 x 1
+c 3
+b 4
+w 4 y 4
+c 4
+b 5
+r 5 y 4
+w 5 y 5
+c 5
+"""
+
+
+def _unpruned_steps(history: History, tested: int) -> int:
+    """Prefixes a walk that never prunes extends before it reaches the
+    tested-th order: ceil(tested / orders below one prefix) per depth."""
+    writes = committed_writes(history)
+    sizes = [math.factorial(len(writes[obj])) for obj in sorted(writes)]
+    return sum(-(-tested // math.prod(sizes[d + 1 :])) for d in range(len(sizes)))
+
+
+class TestPrunedSearch:
+    """The search skips the completions of every cyclic prefix; verdicts
+    and counts must stay those of one graph per order."""
+
+    def test_matches_one_graph_per_order(self, monkeypatch):
+        steps = []
+        extended = checker._extended
+
+        def counting(reach, pairs):
+            steps.append(pairs)
+            return extended(reach, pairs)
+
+        monkeypatch.setattr(checker, "_extended", counting)
+        statuses = {}
+        pruned = pruned_then_found = 0
+        for seed in range(400):
+            h = support.random_concurrent_history(seed)
+            steps.clear()
+            auto = _outcome(check_auto, h, DIFF_BUDGET)
+            reference = _outcome(support.brute_force_reference, h, DIFF_BUDGET)
+            status = getattr(reference, "status", "error")
+            statuses[status] = statuses.get(status, 0) + 1
+            if status == "undecided":
+                # only the timestamp order can still answer
+                assert auto == reference or auto.orders_tested == 1, seed
+                continue
+            assert auto == reference, seed
+            searched = status == "not_opaque" or auto.orders_tested > 1
+            if searched and len(steps) < _unpruned_steps(h, auto.orders_tested):
+                pruned += 1
+                pruned_then_found += auto.opaque
+        assert statuses["not_opaque"] > 200 and statuses["opaque"] > 50, statuses
+        # prefixes were cut short of the last object, also before a find
+        assert pruned > 100 and pruned_then_found > 0, (pruned, pruned_then_found)
+
+    def test_cyclic_first_prefix_then_opaque(self):
+        h = parse(CYCLIC_FIRST_PREFIX_TEXT)
+        ts = check_with_order(h, timestamp_order(h))
+        assert ts.status == "not_opaque" and ts.cycle == [2, 3]
+        v = check_auto(h)
+        assert v.status == "opaque"
+        assert v.order == {"x": (0, 2, 1), "y": (0, 4, 5)}
+        # all 3! y orders under x order 0, 1, 2, then the first under 0, 2, 1
+        assert v.orders_tested == 7
+        assert v == support.brute_force_reference(h, DIFF_BUDGET)
+
+    @pytest.fixture
+    def topo_graphs(self, monkeypatch):
+        graphs = []
+        topological_order = checker.topological_order
+
+        def recording(graph):
+            graphs.append(graph)
+            return topological_order(graph)
+
+        monkeypatch.setattr(checker, "topological_order", recording)
+        return graphs
+
+    def test_found_order_is_sorted_once(self, topo_graphs):
+        h = parse(CYCLIC_FIRST_PREFIX_TEXT)
+        v = check_auto(h)
+        assert v.opaque
+        assert topo_graphs == [
+            build_graph(h, timestamp_order(h)),
+            build_graph(h, v.order),
+        ]
+
+    def test_no_order_found_sorts_only_timestamps(self, reference, topo_graphs):
+        v = check_auto(reference)
+        assert v.status == "not_opaque" and v.orders_tested == 72
+        assert topo_graphs == [build_graph(reference, timestamp_order(reference))]
 
 
 class TestSequentialHistoriesAreOpaque:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import mvtostm
-from mvtostm import harness
+from mvtostm import cli, harness
 from mvtostm.cli import opacity_check_main, replay_main, stress_main
 from mvtostm.errors import InvariantViolation
 from mvtostm.history import parse
@@ -66,6 +66,27 @@ class TestOpacityCheck:
         assert is_t_sequential(witness)
         assert illegal_read(witness) is None
         assert equivalent(witness, parse(support.REFERENCE_REPLAYED).complete())
+
+    def test_calls_share_the_parser_but_no_state(
+        self, reference_file, opaque_file, capsys
+    ):
+        assert cli._checker_parser() is cli._checker_parser()
+        assert opacity_check_main([reference_file]) == 1
+        default = capsys.readouterr()
+        assert "(72 tried)" in default.out
+        rc = opacity_check_main([reference_file, "--order", "ts", "--budget", "10"])
+        assert rc == 1
+        assert "under the supplied version order" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            opacity_check_main([reference_file, "--budget", "many"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'many'" in capsys.readouterr().err
+        assert opacity_check_main([opaque_file, "--emit-witness"]) == 0
+        assert "# order" in capsys.readouterr().out
+        assert opacity_check_main([opaque_file]) == 0
+        assert "# order" not in capsys.readouterr().out
+        assert opacity_check_main([reference_file]) == 1
+        assert capsys.readouterr() == default
 
     def test_small_budget_is_undecided(self, reference_file, capsys):
         rc = opacity_check_main([reference_file, "--order", "auto", "--budget", "10"])
