@@ -132,6 +132,28 @@ r 1 y 5002
 a 1
 """
 
+# T1 and T2 write x concurrently; T3 reads T1's x after both committed,
+# so under x order 0, 1, 2 the mv edge 3->2 meets the rt edge 2->3. x
+# order 0, 2, 1 with the ascending y order works.
+CYCLIC_FIRST_PREFIX_TEXT = """\
+b 1
+b 2
+w 1 x 1
+w 2 x 2
+c 1
+c 2
+b 3
+r 3 x 1
+c 3
+b 4
+w 4 y 4
+c 4
+b 5
+r 5 y 4
+w 5 y 5
+c 5
+"""
+
 
 # --------------------------------------------------------------- generators
 
@@ -248,6 +270,34 @@ def random_concurrent_history(seed: int) -> History:
                 committed[o].append(v)
         events.append(Event(kind, tx, obj, val))
     return History(tuple(events))
+
+
+def random_replay_script(seed: int) -> str:
+    """A replay script: a few threads, one transaction each, randomly
+    interleaved; some end in commit, some in abort, some stay live."""
+    rng = random.Random(f"schedule/{seed}")
+    objects = ["x", "y", "z"][: rng.randint(1, 3)]
+    value = 0
+    lanes = []
+    for t in range(rng.randint(2, 5)):
+        steps = [f"step t{t} b"]
+        steps += [f"step t{t} r {rng.choice(objects)}" for _ in range(rng.randint(0, 2))]
+        for obj in rng.sample(objects, rng.randint(0, len(objects))):
+            value += 1
+            steps.append(f"step t{t} w {obj} {value}")
+        roll = rng.random()
+        if roll < 0.8:
+            steps.append(f"step t{t} c")
+        elif roll < 0.9:
+            steps.append(f"step t{t} a")
+        lanes.append(steps)
+    lines = ["objects " + " ".join(objects)]
+    while lanes:
+        lane = rng.randrange(len(lanes))
+        lines.append(lanes[lane].pop(0))
+        if not lanes[lane]:
+            lanes.pop(lane)
+    return "\n".join(lines) + "\n"
 
 
 def mutate_illegal(seed: int, history: History) -> History | None:

@@ -81,6 +81,37 @@ class TestValidity:
         with pytest.raises(ValueError, match="unique"):
             invalid_read(h)
 
+    # The checks raise for an ambiguous value only where the walk for the
+    # first invalid read meets it; build_graph resolves every read.
+
+    def test_ambiguous_read_before_an_invalid_one_raises(self):
+        h = parse("w 1 x 7\nc 1\nw 2 x 7\nc 2\nr 3 x 7\nr 3 y 9\n")
+        order = timestamp_order(h)
+        for call in (
+            lambda: invalid_read(h),
+            lambda: check_with_order(h, order),
+            lambda: check_auto(h),
+            lambda: build_graph(h, order),
+        ):
+            with pytest.raises(ValueError, match="unique"):
+                call()
+
+    def test_invalid_read_before_an_ambiguous_one_decides(self):
+        h = parse("w 1 x 7\nc 1\nw 2 x 7\nc 2\nr 3 y 9\nr 3 x 7\n")
+        order = timestamp_order(h)
+        assert invalid_read(h).line() == "r 3 y 9"
+        for v in (check_with_order(h, order), check_auto(h)):
+            assert v.status == "invalid" and v.invalid_read.line() == "r 3 y 9"
+        with pytest.raises(ValueError, match="unique"):
+            build_graph(h, order)
+
+    def test_unread_duplicate_values_are_not_ambiguous(self):
+        h = parse("b 3\nr 3 x 0\nw 1 x 7\nc 1\nw 2 x 7\nc 2\nc 3\n")
+        order = timestamp_order(h)
+        assert invalid_read(h) is None
+        assert check_with_order(h, order).opaque and check_auto(h).opaque
+        assert build_graph(h, order).labeled(checker.RF) == {(0, 3)}
+
 
 class TestSequential:
     def test_reference_history_is_not_sequential(self, reference):
@@ -366,29 +397,6 @@ class TestSearchAgainstDefinition:
         assert verdicts[True] >= 30 and verdicts[False] >= 30, verdicts
 
 
-# T1 and T2 write x concurrently; T3 reads T1's x after both committed,
-# so under x order 0, 1, 2 the mv edge 3->2 meets the rt edge 2->3. x
-# order 0, 2, 1 with the ascending y order works.
-CYCLIC_FIRST_PREFIX_TEXT = """\
-b 1
-b 2
-w 1 x 1
-w 2 x 2
-c 1
-c 2
-b 3
-r 3 x 1
-c 3
-b 4
-w 4 y 4
-c 4
-b 5
-r 5 y 4
-w 5 y 5
-c 5
-"""
-
-
 def _unpruned_steps(history: History, tested: int) -> int:
     """Prefixes a walk that never prunes extends before it reaches the
     tested-th order: ceil(tested / orders below one prefix) per depth."""
@@ -433,7 +441,7 @@ class TestPrunedSearch:
         assert pruned > 100 and pruned_then_found > 0, (pruned, pruned_then_found)
 
     def test_cyclic_first_prefix_then_opaque(self):
-        h = parse(CYCLIC_FIRST_PREFIX_TEXT)
+        h = parse(support.CYCLIC_FIRST_PREFIX_TEXT)
         ts = check_with_order(h, timestamp_order(h))
         assert ts.status == "not_opaque" and ts.cycle == [2, 3]
         v = check_auto(h)
@@ -456,7 +464,7 @@ class TestPrunedSearch:
         return graphs
 
     def test_found_order_is_sorted_once(self, topo_graphs):
-        h = parse(CYCLIC_FIRST_PREFIX_TEXT)
+        h = parse(support.CYCLIC_FIRST_PREFIX_TEXT)
         v = check_auto(h)
         assert v.opaque
         assert topo_graphs == [
@@ -555,34 +563,6 @@ def _same_auto(history: History) -> None:
         assert auto == reference
 
 
-def _random_schedule(seed: int) -> str:
-    """A replay script: a few threads, one transaction each, randomly
-    interleaved; some end in commit, some in abort, some stay live."""
-    rng = random.Random(f"schedule/{seed}")
-    objects = ["x", "y", "z"][: rng.randint(1, 3)]
-    value = 0
-    lanes = []
-    for t in range(rng.randint(2, 5)):
-        steps = [f"step t{t} b"]
-        steps += [f"step t{t} r {rng.choice(objects)}" for _ in range(rng.randint(0, 2))]
-        for obj in rng.sample(objects, rng.randint(0, len(objects))):
-            value += 1
-            steps.append(f"step t{t} w {obj} {value}")
-        roll = rng.random()
-        if roll < 0.8:
-            steps.append(f"step t{t} c")
-        elif roll < 0.9:
-            steps.append(f"step t{t} a")
-        lanes.append(steps)
-    lines = ["objects " + " ".join(objects)]
-    while lanes:
-        lane = rng.randrange(len(lanes))
-        lines.append(lanes[lane].pop(0))
-        if not lanes[lane]:
-            lanes.pop(lane)
-    return "\n".join(lines) + "\n"
-
-
 class TestAscendingShortcut:
     """check_with_order certifies the ascending serialization before it
     builds a graph. Every verdict must equal the graph path's."""
@@ -607,7 +587,7 @@ class TestAscendingShortcut:
 
     def test_replayed_schedules(self, graph_calls):
         for seed in range(150):
-            h = replay(_random_schedule(seed))
+            h = replay(support.random_replay_script(seed))
             assert _same_verdicts(h, timestamp_order(h), graph_calls)
             _same_verdicts(h, _random_order(seed, h), graph_calls)
             _same_auto(h)
