@@ -29,6 +29,15 @@ def _read_file(path: str) -> str | None:
         return None
 
 
+def _write_file(path: str, text: str) -> bool:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 @functools.cache
 def _checker_parser() -> argparse.ArgumentParser:
     """opacity-check's parser, built once: parsing leaves it unchanged."""
@@ -141,8 +150,8 @@ def stress_main(argv: list[str] | None = None) -> int:
     print(report.format_report())
     for key, value in report.key_values().items():
         print(f"{key}={value}")
-    if args.dump:
-        Path(args.dump).write_text(report.history.serialize(), encoding="utf-8")
+    if args.dump and not _write_file(args.dump, report.history.serialize()):
+        return EXIT_UNDECIDED
     return EXIT_OPAQUE if report.verdict.opaque else EXIT_NOT_OPAQUE
 
 
@@ -162,7 +171,8 @@ def replay_main(argv: list[str] | None = None) -> int:
     except ReplayError as exc:
         return _fail(str(exc))
     if args.dump:
-        Path(args.dump).write_text(history.serialize(), encoding="utf-8")
+        if not _write_file(args.dump, history.serialize()):
+            return EXIT_UNDECIDED
     else:
         sys.stdout.write(history.serialize())
     return 0

@@ -145,6 +145,14 @@ class TestStress:
         assert len(h) > 0
         capsys.readouterr()
 
+    def test_unwritable_dump_exits_two(self, tmp_path, capsys):
+        dump = tmp_path / "missing" / "h.txt"
+        rc = stress_main(
+            ["--threads", "1", "--txs", "2", "--objects", "2", "--dump", str(dump)]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {dump}: ")
+
     def test_gc_threshold_zero_disables(self, capsys):
         rc = stress_main(
             [
@@ -210,6 +218,13 @@ class TestReplayCli:
         assert replay_main([str(script), "--dump", str(dump)]) == 0
         assert dump.read_text() == support.REFERENCE_REPLAYED
         capsys.readouterr()
+
+    def test_unwritable_dump_exits_two(self, tmp_path, capsys):
+        script = tmp_path / "s.txt"
+        script.write_text(support.REFERENCE_SCRIPT)
+        dump = tmp_path / "missing" / "h.txt"
+        assert replay_main([str(script), "--dump", str(dump)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {dump}: ")
 
     def test_bad_script_exits_two(self, tmp_path, capsys):
         script = tmp_path / "s.txt"
