@@ -18,7 +18,9 @@ If the graph is acyclic for some version order, the history is opaque,
 and any topological order of the graph expanded transaction by
 transaction is a witness serialization. The checker verifies each
 witness it emits against independent legality, equivalence, and
-real-time checks rather than trusting the construction.
+real-time checks rather than trusting the construction. Each check
+projects its history once for every order it tries, and only a witness
+builds the completion.
 
 When the version order lists every object's writers in ascending id,
 as the timestamp order does, the checker first tries the ascending
@@ -111,17 +113,7 @@ def _resolve_writer(index, obj, value) -> int | None:
 
 def invalid_read(history: History) -> Event | None:
     """First read with no committed-before writer of its value, or None."""
-    index = _writer_index(committed_writes(history))
-    commit_pos = {e.tx: i for i, e in enumerate(history.events) if e.kind == COMMIT}
-    for i, e in enumerate(history.events):
-        if e.kind != READ:
-            continue
-        writer = _resolve_writer(index, e.obj, e.value)
-        if writer is None:
-            return e
-        if writer != T0 and commit_pos[writer] > i:
-            return e
-    return None
+    return _Analysis(history).invalid
 
 
 def real_time_pairs(history: History) -> set[tuple[int, int]]:
@@ -253,26 +245,46 @@ def _mv_edges(reads, writers_by_obj, positions) -> set[tuple[int, int, str]]:
 
 
 class _Analysis:
-    """Per-history state shared across all candidate version orders.
+    """One projection of a history, shared by every version order a
+    check tries.
 
-    The reads and the static edges are built on first use, so a history
-    certified by its ascending serialization never pays for them.
+    Completion only appends aborts, so writes, reads and vertices come
+    from the history as given. The rest is built on first use: a history
+    certified by its ascending serialization never pays for the edges,
+    and only a witness builds the completion.
     """
 
     def __init__(self, history: History):
         self.history = history
-        self.completed = history.complete()
-        self.writes = committed_writes(self.completed)
-        self.vertices = frozenset(self.completed.txns() | {T0})
+        self.writes = committed_writes(history)
+        self._index = _writer_index(self.writes)
+        self.vertices = frozenset(history.txns() | {T0})
+
+    @cached_property
+    def completed(self) -> History:
+        return self.history.complete()
+
+    @cached_property
+    def invalid(self) -> Event | None:
+        """First read with no committed-before writer of its value, or None;
+        an ambiguous value read after it raises nothing."""
+        events = self.history.events
+        commit_pos = {e.tx: i for i, e in enumerate(events) if e.kind == COMMIT}
+        for i, e in enumerate(events):
+            if e.kind != READ:
+                continue
+            writer = _resolve_writer(self._index, e.obj, e.value)
+            if writer is None or (writer != T0 and commit_pos[writer] > i):
+                return e
+        return None
 
     @cached_property
     def reads(self) -> list[tuple[int, str, int]]:
         """(reader, object, writer) for every read with a committed writer."""
-        index = _writer_index(self.writes)
         reads = []
-        for e in self.completed.events:
+        for e in self.history.events:
             if e.kind == READ:
-                writer = _resolve_writer(index, e.obj, e.value)
+                writer = _resolve_writer(self._index, e.obj, e.value)
                 if writer is not None:
                     reads.append((e.tx, e.obj, writer))
         return reads
@@ -455,14 +467,6 @@ def _witness(analysis: _Analysis, topo: list[int]) -> tuple[History, str | None]
     return s, None
 
 
-def _certified_serialization(analysis: _Analysis, topo: list[int]) -> History:
-    """Expand a topological order of the graph and verify it independently."""
-    s, failure = _witness(analysis, topo)
-    if failure is not None:
-        raise InvariantViolation(failure)
-    return s
-
-
 def _invalid(bad: Event) -> Verdict:
     return Verdict(
         "invalid",
@@ -471,8 +475,9 @@ def _invalid(bad: Event) -> Verdict:
     )
 
 
-def _graph_verdict(analysis: _Analysis, order: VersionOrder) -> Verdict:
-    """Decide under one validated version order by building the graph."""
+def _graph_verdict(analysis: _Analysis, order: VersionOrder, tested: int = 1) -> Verdict:
+    """Decide under one validated version order by building the graph;
+    the verdict reports tested orders."""
     topo, cycle = topological_order(analysis.graph(order))
     if topo is None:
         return Verdict(
@@ -480,14 +485,12 @@ def _graph_verdict(analysis: _Analysis, order: VersionOrder) -> Verdict:
             order=dict(order),
             cycle=cycle,
             detail="under the supplied version order",
-            orders_tested=1,
+            orders_tested=tested,
         )
-    return Verdict(
-        "opaque",
-        order=dict(order),
-        serialization=_certified_serialization(analysis, topo),
-        orders_tested=1,
-    )
+    s, failure = _witness(analysis, topo)
+    if failure is not None:
+        raise InvariantViolation(failure)
+    return Verdict("opaque", order=dict(order), serialization=s, orders_tested=tested)
 
 
 def _order_verdict(analysis: _Analysis, order: VersionOrder) -> Verdict:
@@ -505,10 +508,10 @@ def _order_verdict(analysis: _Analysis, order: VersionOrder) -> Verdict:
 
 def check_with_order(history: History, order: VersionOrder) -> Verdict:
     """Decide opacity under one fixed version order."""
-    bad = invalid_read(history)
-    if bad is not None:
-        return _invalid(bad)
-    return _order_verdict(_Analysis(history), order)
+    analysis = _Analysis(history)
+    if analysis.invalid is not None:
+        return _invalid(analysis.invalid)
+    return _order_verdict(analysis, order)
 
 
 def _closure(size: int, pairs) -> list[int] | None:
@@ -564,8 +567,8 @@ def _search(analysis: _Analysis, budget: int, ascending: Verdict) -> Verdict:
     memory stays that of one path. Edges only accumulate along a
     prefix, so a prefix whose edges already close a cycle leaves every
     completion cyclic: those completions are counted as tried and
-    skipped. Only the order found gets a graph and a topological sort,
-    for its witness. The verdict, the order and the count are therefore
+    skipped. Only the order found goes to _graph_verdict, for its graph
+    and witness. The verdict, the order and the count are therefore
     those of building one graph per order in turn. When no order is
     acyclic, the ascending order's cycle, passed in as ascending, is
     the one reported.
@@ -622,15 +625,10 @@ def _search(analysis: _Analysis, budget: int, ascending: Verdict) -> Verdict:
             detail=f"no version order yields an acyclic graph ({tested} tried)",
             orders_tested=tested,
         )
-    topo, _ = topological_order(analysis.graph(found))
-    if topo is None:
+    verdict = _graph_verdict(analysis, found, tested)
+    if not verdict.opaque:
         raise InvariantViolation(f"search accepted the cyclic version order {found}")
-    return Verdict(
-        "opaque",
-        order=found,
-        serialization=_certified_serialization(analysis, topo),
-        orders_tested=tested,
-    )
+    return verdict
 
 
 def check_auto(history: History, budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -644,10 +642,9 @@ def check_auto(history: History, budget: int = DEFAULT_BUDGET) -> Verdict:
     count exceeds the budget the verdict is undecided rather than
     wrong.
     """
-    bad = invalid_read(history)
-    if bad is not None:
-        return _invalid(bad)
     analysis = _Analysis(history)
+    if analysis.invalid is not None:
+        return _invalid(analysis.invalid)
     ts = _order_verdict(analysis, _ascending_order(analysis.writes))
     if ts.opaque:
         return ts

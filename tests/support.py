@@ -576,17 +576,11 @@ def brute_force_reference(history: History, budget: int) -> Verdict:
         *(itertools.permutations(sorted(analysis.writes[obj])) for obj in objs)
     ):
         tested += 1
-        order = dict(zip(objs, combo))
-        topo, cycle = checker.topological_order(analysis.graph(order))
-        if topo is not None:
-            return Verdict(
-                "opaque",
-                order=order,
-                serialization=checker._certified_serialization(analysis, topo),
-                orders_tested=tested,
-            )
+        verdict = checker._graph_verdict(analysis, dict(zip(objs, combo)), tested)
+        if verdict.opaque:
+            return verdict
         if first_cycle is None:
-            first_cycle = cycle
+            first_cycle = verdict.cycle
     return Verdict(
         "not_opaque",
         cycle=first_cycle,

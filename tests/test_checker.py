@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -111,6 +112,34 @@ class TestValidity:
         assert invalid_read(h) is None
         assert check_with_order(h, order).opaque and check_auto(h).opaque
         assert build_graph(h, order).labeled(checker.RF) == {(0, 3)}
+
+
+class TestOneProjectionPerCheck:
+    """Each check computes the committed writes and the writer index
+    once, whichever of the shortcut, the graph and the search it takes."""
+
+    @pytest.fixture
+    def projections(self, monkeypatch):
+        calls = Counter()
+        for name in ("committed_writes", "_writer_index"):
+
+            def counting(*args, name=name, original=getattr(checker, name)):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(checker, name, counting)
+        return calls
+
+    def test_each_check_projects_once(self, reference, replayed, projections):
+        # the search finds an opaque order for this one, at the 7th try
+        searched = support.random_concurrent_history(8)
+        assert check_auto(searched).orders_tested == 7
+        for h in (reference, replayed, searched):
+            order = timestamp_order(h)
+            for check, args in ((check_auto, (h,)), (check_with_order, (h, order))):
+                projections.clear()
+                check(*args)
+                assert projections == {"committed_writes": 1, "_writer_index": 1}
 
 
 class TestSequential:
@@ -536,9 +565,9 @@ def graph_calls(monkeypatch):
     calls = []
     graph_verdict = checker._graph_verdict
 
-    def recording(analysis, order):
+    def recording(analysis, order, tested=1):
         calls.append(order)
-        return graph_verdict(analysis, order)
+        return graph_verdict(analysis, order, tested)
 
     monkeypatch.setattr(checker, "_graph_verdict", recording)
     return calls
