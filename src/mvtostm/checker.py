@@ -31,13 +31,13 @@ the graph would yield, and the graph is never built. This is the
 common case on MVTO histories, where timestamp order is the witness.
 Otherwise the graph decides, as above.
 
-When the timestamp order fails, check_auto enumerates the other version
-orders in a fixed order: objects sorted, each object's writers through
-their permutations in lexicographic order, ascending first. It walks
-them object by object. A prefix whose edges already close a cycle
-leaves every completion cyclic, so all its completions are counted as
-tried and skipped without a graph. The verdict, the order found and
-the number of orders tried are those of building one graph per order.
+When the timestamp order fails, check_auto searches the other version
+orders in product order: objects sorted, each object's writers through
+their permutations in lexicographic order, ascending first. The first
+acyclic order wins, and its rank in that order is the count of orders
+tried; when none is acyclic, every order counts. The walk skips each
+completion of a prefix whose edges already close a cycle, so verdict,
+order and count are those of building one graph per order.
 """
 
 from __future__ import annotations
@@ -476,8 +476,8 @@ def _invalid(bad: Event) -> Verdict:
 
 
 def _graph_verdict(analysis: _Analysis, order: VersionOrder, tested: int = 1) -> Verdict:
-    """Decide under one validated version order by building the graph;
-    the verdict reports tested orders."""
+    """Decide under one valid version order by building the graph; the
+    verdict reports tested orders."""
     topo, cycle = topological_order(analysis.graph(order))
     if topo is None:
         return Verdict(
@@ -494,9 +494,8 @@ def _graph_verdict(analysis: _Analysis, order: VersionOrder, tested: int = 1) ->
 
 
 def _order_verdict(analysis: _Analysis, order: VersionOrder) -> Verdict:
-    """Decide under one version order: the ascending serialization when
-    the order allows it and it passes, the graph otherwise."""
-    analysis.validate_order(order)
+    """Decide under one valid version order: the ascending serialization
+    when the order allows it and it passes, the graph otherwise."""
     if all(list(seq) == sorted(seq) for seq in order.values()):
         s, failure = _witness(analysis, sorted(analysis.vertices))
         if failure is None:
@@ -506,11 +505,17 @@ def _order_verdict(analysis: _Analysis, order: VersionOrder) -> Verdict:
     return _graph_verdict(analysis, order)
 
 
-def check_with_order(history: History, order: VersionOrder) -> Verdict:
-    """Decide opacity under one fixed version order."""
+def check_with_order(history: History, order: VersionOrder | None = None) -> Verdict:
+    """Decide opacity under one fixed version order, by default the
+    timestamp order; UsageError if a given order does not list exactly
+    each object's committed writers."""
     analysis = _Analysis(history)
     if analysis.invalid is not None:
         return _invalid(analysis.invalid)
+    if order is None:
+        order = _ascending_order(analysis.writes)
+    else:
+        analysis.validate_order(order)
     return _order_verdict(analysis, order)
 
 
@@ -554,53 +559,36 @@ def _extended(reach: list[int], pairs) -> list[int] | None:
     return reach
 
 
-def _search(analysis: _Analysis, budget: int, ascending: Verdict) -> Verdict:
-    """Enumerate every version order, ascending first, until one graph
-    is acyclic.
+def _first_acyclic(analysis: _Analysis) -> tuple[VersionOrder, int] | None:
+    """The first version order, in product order, whose graph is acyclic,
+    with its rank in that order counted from 1; or None.
 
-    The orders are the product, over objects in sorted order, of each
-    object's writer permutations, walked object by object in that same
-    order. The rt, rf and T0 edges are the same under every order, so
-    their reachability closure is built once per history. An object's
-    mv edges depend only on its own permutation; they are added to the
-    closure of the prefix when the walk chooses that permutation, so
-    memory stays that of one path. Edges only accumulate along a
-    prefix, so a prefix whose edges already close a cycle leaves every
-    completion cyclic: those completions are counted as tried and
-    skipped. Only the order found goes to _graph_verdict, for its graph
-    and witness. The verdict, the order and the count are therefore
-    those of building one graph per order in turn. When no order is
-    acyclic, the ascending order's cycle, passed in as ascending, is
-    the one reported.
+    The walk goes object by object. The rt, rf and T0 edges are the same
+    under every order, so their reachability closure is built once. It is
+    acyclic: T0 comes first, and every other such edge ends at a
+    transaction whose last event comes later. An object's mv edges
+    depend only on its own permutation and are added to the prefix's
+    closure when the walk chooses it, so memory stays that of one path.
+    Edges only accumulate along a prefix, so a prefix whose edges close
+    a cycle is skipped with every completion.
     """
     objs = sorted(analysis.writes)
     writers = [sorted(analysis.writes[obj]) for obj in objs]
-    sizes = [math.factorial(len(ws)) for ws in writers]
-    total = math.prod(sizes)
-    if total > budget:
-        return Verdict(
-            "undecided",
-            detail=f"{total} candidate version orders exceed budget {budget}",
-        )
     index = {v: i for i, v in enumerate(sorted(analysis.vertices))}
     reads_of: dict[str, list] = defaultdict(list)
     for read in analysis.reads:
         reads_of[read[1]].append(read)
-    # orders below one choice at each depth
-    completions = [math.prod(sizes[d + 1 :]) for d in range(len(objs))]
     root = _closure(
         len(index), [(index[u], index[v]) for u, v, _ in analysis.static_edges]
     )
-    tested = 0 if root is not None else total
-    found = None
-    # depth-first in product order; a frame holds the closure of the edges
-    # its prefix fixes and the permutations left for the next object
-    stack = []
-    if root is not None:
-        stack.append((root, (), itertools.permutations(writers[0])))
+    if root is None:
+        raise InvariantViolation("the rt, rf and T0 edges close a cycle")
+    # depth-first; a frame holds the closure of the edges its prefix fixes,
+    # the prefix's rank and the next object's indexed permutations left
+    stack = [(root, (), 0, enumerate(itertools.permutations(writers[0])))]
     while stack:
-        reach, prefix, perms = stack[-1]
-        perm = next(perms, None)
+        reach, prefix, rank, perms = stack[-1]
+        i, perm = next(perms, (None, None))
         if perm is None:
             stack.pop()
             continue
@@ -609,26 +597,14 @@ def _search(analysis: _Analysis, budget: int, ascending: Verdict) -> Verdict:
         mv = _mv_edges(reads_of[objs[d]], analysis.writes, positions)
         extended = _extended(reach, [(index[u], index[v]) for u, v, _ in mv])
         if extended is None:
-            tested += completions[d]
-        elif d + 1 < len(objs):
-            stack.append(
-                (extended, prefix + (perm,), itertools.permutations(writers[d + 1]))
-            )
-        else:
-            tested += 1
-            found = dict(zip(objs, prefix + (perm,)))
-            break
-    if found is None:
-        return Verdict(
-            "not_opaque",
-            cycle=ascending.cycle,
-            detail=f"no version order yields an acyclic graph ({tested} tried)",
-            orders_tested=tested,
-        )
-    verdict = _graph_verdict(analysis, found, tested)
-    if not verdict.opaque:
-        raise InvariantViolation(f"search accepted the cyclic version order {found}")
-    return verdict
+            continue
+        chosen = prefix + (perm,)
+        ranked = rank * math.factorial(len(perm)) + i
+        if d + 1 == len(objs):
+            return dict(zip(objs, chosen)), ranked + 1
+        deeper = enumerate(itertools.permutations(writers[d + 1]))
+        stack.append((extended, chosen, ranked, deeper))
+    return None
 
 
 def check_auto(history: History, budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -648,7 +624,25 @@ def check_auto(history: History, budget: int = DEFAULT_BUDGET) -> Verdict:
     ts = _order_verdict(analysis, _ascending_order(analysis.writes))
     if ts.opaque:
         return ts
-    return _search(analysis, budget, ts)
+    total = math.prod(math.factorial(len(ws)) for ws in analysis.writes.values())
+    if total > budget:
+        return Verdict(
+            "undecided",
+            detail=f"{total} candidate version orders exceed budget {budget}",
+        )
+    found = _first_acyclic(analysis)
+    if found is None:
+        return Verdict(
+            "not_opaque",
+            cycle=ts.cycle,
+            detail=f"no version order yields an acyclic graph ({total} tried)",
+            orders_tested=total,
+        )
+    order, rank = found
+    verdict = _graph_verdict(analysis, order, rank)
+    if not verdict.opaque:
+        raise InvariantViolation(f"search accepted the cyclic version order {order}")
+    return verdict
 
 
 check_brute_force = check_auto

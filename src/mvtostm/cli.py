@@ -78,9 +78,7 @@ def opacity_check_main(argv: list[str] | None = None) -> int:
         return _fail(str(exc))
     try:
         if args.order == "ts":
-            verdict = checker.check_with_order(
-                history, checker.timestamp_order(history)
-            )
+            verdict = checker.check_with_order(history)
         else:
             verdict = checker.check_auto(history, args.budget)
     except ValueError as exc:  # non-unique written values

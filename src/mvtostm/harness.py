@@ -16,7 +16,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .checker import Verdict, check_with_order, timestamp_order
+from .checker import Verdict, check_with_order
 from .core import Registry, Transaction
 from .errors import ConfigError, InvariantViolation, ReplayError, UsageError
 from .history import ABORT, COMMIT, TERMINALS, WRITE, History, Recorder, VersionNote
@@ -340,7 +340,7 @@ def run(config: WorkloadConfig, watchdog: float = WATCHDOG_SECONDS) -> RunReport
         raise InvariantViolation(
             f"{ro_aborted} read-only transactions aborted; reads never conflict"
         )
-    verdict = check_with_order(history, timestamp_order(history))
+    verdict = check_with_order(history)
     update_aborted = tally[ABORT, True]
     gave_up = sum(s.gave_up for s in stats)
     return RunReport(
@@ -413,7 +413,7 @@ def parse_script(text: str) -> tuple[list[str], list[ReplayStep]]:
                 raise ReplayError(line_no, "objects line must precede steps")
             if len(tokens) < 2:
                 raise ReplayError(line_no, "objects line names no objects")
-            if len(tokens) == 2 and tokens[1].isdigit():
+            if len(tokens) == 2 and tokens[1].isdecimal():
                 count = int(tokens[1])
                 if count < 1:
                     raise ReplayError(line_no, "object count must be positive")

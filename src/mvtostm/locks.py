@@ -14,27 +14,44 @@ class FairLock:
     argument for commit needs.
     """
 
-    __slots__ = ("_cond", "_next_ticket", "_serving")
+    __slots__ = ("_abandoned", "_cond", "_next_ticket", "_serving")
 
     def __init__(self):
         self._cond = threading.Condition()
         self._next_ticket = 0
         self._serving = 0
+        self._abandoned: set[int] = set()  # tickets whose waiter raised
 
     def acquire(self) -> None:
         with self._cond:
             ticket = self._next_ticket
             self._next_ticket += 1
-            while ticket != self._serving:
-                self._cond.wait()
+            try:
+                while ticket != self._serving:
+                    self._cond.wait()
+            except BaseException:
+                # the wait raised (say, KeyboardInterrupt): give up the
+                # ticket, or the lock if it was served meanwhile
+                if ticket == self._serving:
+                    self._serve_next()
+                else:
+                    self._abandoned.add(ticket)
+                raise
 
     def release(self) -> None:
         """Serve the next ticket; RuntimeError if unheld, as threading.Lock."""
         with self._cond:
             if self._serving == self._next_ticket:
                 raise RuntimeError("release unlocked lock")
+            self._serve_next()
+
+    def _serve_next(self) -> None:
+        """Serve the next ticket not abandoned; the caller holds _cond."""
+        self._serving += 1
+        while self._serving in self._abandoned:
+            self._abandoned.remove(self._serving)
             self._serving += 1
-            self._cond.notify_all()
+        self._cond.notify_all()
 
     def locked(self) -> bool:
         with self._cond:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -24,10 +25,11 @@ from mvtostm.checker import (
     timestamp_order,
     topological_order,
 )
-from mvtostm.errors import UsageError
+from mvtostm.cli import opacity_check_main
+from mvtostm.errors import InvariantViolation, UsageError
 from mvtostm.harness import WorkloadConfig, replay, run
 from mvtostm.history import History, parse
-from tests import support
+from tests import golden, support
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +143,20 @@ class TestOneProjectionPerCheck:
                 check(*args)
                 assert projections == {"committed_writes": 1, "_writer_index": 1}
 
+    @pytest.mark.parametrize("caller", ["check_with_order", "opacity-check", "run"])
+    def test_timestamp_checks_project_once(self, caller, tmp_path, capsys, projections):
+        path = tmp_path / "h.hist"
+        path.write_text(support.REFERENCE_TEXT, encoding="utf-8")
+        cfg = WorkloadConfig(threads=1, txs_per_thread=3, object_count=2, seed=1)
+        call = {
+            "check_with_order": lambda: check_with_order(parse(support.REFERENCE_TEXT)),
+            "opacity-check": lambda: opacity_check_main([str(path), "--order", "ts"]),
+            "run": lambda: run(cfg),
+        }[caller]
+        call()
+        assert projections == {"committed_writes": 1, "_writer_index": 1}
+        capsys.readouterr()
+
 
 class TestSequential:
     def test_reference_history_is_not_sequential(self, reference):
@@ -200,23 +216,15 @@ class TestBuildGraph:
         assert g.labeled(checker.RT) == {(0, 1), (0, 2)}
 
     def test_order_must_cover_exactly_the_writers(self, reference):
-        with pytest.raises(UsageError):
-            build_graph(reference, {"x": (0, 1), "y": (0, 2, 3)})  # z missing
-        with pytest.raises(UsageError):
-            build_graph(
-                reference,
-                {**support.REFERENCE_ORDER, "w": (0,)},  # unknown object
-            )
-        with pytest.raises(UsageError):
-            build_graph(
-                reference,
-                {**support.REFERENCE_ORDER, "x": (0, 1, 2)},  # 2 never wrote x
-            )
-        with pytest.raises(UsageError):
-            build_graph(
-                reference,
-                {**support.REFERENCE_ORDER, "x": (0, 1, 1)},  # duplicate
-            )
+        for order in (
+            {"x": (0, 1), "y": (0, 2, 3)},  # z missing
+            {**support.REFERENCE_ORDER, "w": (0,)},  # unknown object
+            {**support.REFERENCE_ORDER, "x": (0, 1, 2)},  # 2 never wrote x
+            {**support.REFERENCE_ORDER, "x": (0, 1, 1)},  # duplicate
+        ):
+            for check in (build_graph, check_with_order):
+                with pytest.raises(UsageError):
+                    check(reference, order)
 
     def test_own_write_and_own_read_impose_nothing(self):
         # A committed transaction reading an object it later writes must
@@ -335,6 +343,11 @@ class TestVerdicts:
         ):
             assert verdict.status == "opaque"
             assert verdict.serialization is not None
+
+    def test_default_order_is_the_timestamp_order(self):
+        for name, h in golden.inputs():
+            default = _outcome(check_with_order, h)
+            assert default == _outcome(check_with_order, h, timestamp_order(h)), name
 
     def test_timestamp_order_of_reference_history(self, reference):
         assert timestamp_order(reference) == {
@@ -479,6 +492,61 @@ class TestPrunedSearch:
         # all 3! y orders under x order 0, 1, 2, then the first under 0, 2, 1
         assert v.orders_tested == 7
         assert v == support.brute_force_reference(h, DIFF_BUDGET)
+
+    def test_count_is_the_found_orders_rank(self):
+        # an opaque verdict counts the orders up to the one found, in
+        # product order; a not-opaque one counts them all
+        found = 0
+        for seed in range(600):
+            h = support.random_concurrent_history(seed)
+            v = check_auto(h, DIFF_BUDGET)
+            writes = committed_writes(h)
+            objs = sorted(writes)
+            product = list(
+                itertools.product(
+                    *(itertools.permutations(sorted(writes[obj])) for obj in objs)
+                )
+            )
+            if v.status == "not_opaque":
+                assert v.orders_tested == len(product), seed
+            elif v.opaque:
+                found += 1
+                rank = product.index(tuple(v.order[obj] for obj in objs))
+                assert v.orders_tested == 1 + rank, seed
+                read = {e.obj for e in h.events if e.kind == "r"}
+                for obj, seq in v.order.items():
+                    assert seq[0] == 0, seed
+                    assert obj in read or list(seq) == sorted(seq), seed
+        assert found > 150, found
+
+    def test_static_edges_never_close_a_cycle(self):
+        checked = 0
+        for name, h in golden.inputs():
+            analysis = checker._Analysis(h)
+            try:
+                if analysis.invalid is not None:
+                    continue
+            except ValueError:
+                continue  # ambiguous written values
+            index = {v: i for i, v in enumerate(sorted(analysis.vertices))}
+            pairs = [(index[u], index[v]) for u, v, _ in analysis.static_edges]
+            assert checker._closure(len(index), pairs) is not None, name
+            checked += 1
+        assert checked > 1500, checked
+
+    def test_cyclic_static_edges_are_an_invariant_violation(
+        self, reference, monkeypatch
+    ):
+        static_edges = checker._Analysis.static_edges.func
+
+        def with_backward_edge(analysis):
+            return static_edges(analysis) | {(2, 0, checker.RT)}
+
+        monkeypatch.setattr(
+            checker._Analysis, "static_edges", property(with_backward_edge)
+        )
+        with pytest.raises(InvariantViolation, match="close a cycle"):
+            check_auto(reference)
 
     @pytest.fixture
     def topo_graphs(self, monkeypatch):

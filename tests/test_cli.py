@@ -211,6 +211,14 @@ class TestReplayCli:
         assert replay_main([str(script)]) == 0
         assert capsys.readouterr().out == support.REFERENCE_REPLAYED
 
+    def test_non_decimal_digit_object_name(self, tmp_path, capsys):
+        script = tmp_path / "s.txt"
+        script.write_text(
+            "objects ²\nstep a b\nstep a w ² 5\nstep a c\n", encoding="utf-8"
+        )
+        assert replay_main([str(script)]) == 0
+        assert capsys.readouterr().out == "b 1\nw 1 ² 5\nc 1\n"
+
     def test_dump_writes_file(self, tmp_path, capsys):
         script = tmp_path / "s.txt"
         script.write_text(support.REFERENCE_SCRIPT)

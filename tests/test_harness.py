@@ -215,6 +215,12 @@ class TestParseScript:
         assert objects == ["1", "2", "3"]
         assert steps[0] == ReplayStep(2, "t", "w", "2", 9)
 
+    def test_non_decimal_digit_is_a_name(self):
+        # "²" is a digit to str.isdigit but not a decimal int() accepts
+        objects, steps = parse_script("objects ²\nstep t w ² 9\n")
+        assert objects == ["²"]
+        assert steps[0] == ReplayStep(2, "t", "w", "²", 9)
+
     def test_comments_and_blanks(self):
         objects, steps = parse_script(
             "# setup\nobjects x\n\nstep a b  # begin\nstep a c\n"

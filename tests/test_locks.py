@@ -88,6 +88,47 @@ class TestFairLock:
         t.join(2.0)
         assert acquired.is_set(), "acquire did not return after a stray release"
 
+    class Interrupt(BaseException):
+        """Stands in for a KeyboardInterrupt raised inside a wait."""
+
+    def test_waiter_interrupted_while_queued(self, monkeypatch):
+        lock = FairLock()
+        lock.acquire()
+
+        def interrupted():
+            monkeypatch.undo()
+            raise self.Interrupt
+
+        monkeypatch.setattr(lock._cond, "wait", interrupted)
+        with pytest.raises(self.Interrupt):
+            lock.acquire()
+        lock.release()
+        # the abandoned ticket is skipped, so the next acquire is served
+        assert not lock.locked()
+        lock.acquire()
+        lock.release()
+        with pytest.raises(RuntimeError):
+            lock.release()
+
+    def test_waiter_interrupted_as_it_is_served(self, monkeypatch):
+        lock = FairLock()
+        lock.acquire()
+
+        def served_then_interrupted():
+            monkeypatch.undo()
+            lock.release()  # the holder hands over during the wait
+            raise self.Interrupt
+
+        monkeypatch.setattr(lock._cond, "wait", served_then_interrupted)
+        with pytest.raises(self.Interrupt):
+            lock.acquire()
+        # the interrupted waiter released the lock it was just served
+        assert not lock.locked()
+        with pytest.raises(RuntimeError):
+            lock.release()
+        lock.acquire()
+        assert lock.locked()
+
 
 class TestLockOrderMonitor:
     def test_ascending_is_clean(self):

@@ -1,0 +1,14 @@
+"""The README's library example runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def test_library_example_runs(capsys):
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+    assert capsys.readouterr().out.startswith("opaque: ")
