@@ -171,6 +171,11 @@ class Registry:
         with self._live_lock:
             return set(self._live)
 
+    def lock_handoffs(self) -> int:
+        """Releases, over every object lock and the live lock, that
+        served a queued waiter."""
+        return self._live_lock.handoffs + sum(o.lock.handoffs for o in self._objects)
+
     # -- protocol operations
 
     def begin(self) -> Transaction:

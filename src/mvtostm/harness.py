@@ -213,6 +213,7 @@ class RunReport:
     gc_deleted_per_object: dict[int, int]
     lock_acquisitions: int
     lock_violations: int
+    lock_handoffs: int
     version_notes: tuple[VersionNote, ...]
 
     @property
@@ -248,6 +249,7 @@ class RunReport:
             "max_versions": max(self.versions_per_object.values()),
             "lock_acquisitions": self.lock_acquisitions,
             "lock_violations": self.lock_violations,
+            "lock_handoffs": self.lock_handoffs,
             "verdict": self.verdict.status,
             "wall_seconds": round(self.wall_seconds, 3),
         }
@@ -267,7 +269,8 @@ class RunReport:
             f"gc: {self.gc_deleted} versions deleted; "
             f"largest version list {max(self.versions_per_object.values())}",
             f"locks: {self.lock_acquisitions} acquisitions, "
-            f"{self.lock_violations} order violations",
+            f"{self.lock_violations} order violations, "
+            f"{self.lock_handoffs} hand-offs",
             f"verdict: {self.verdict.summary()}",
             f"wall: {self.wall_seconds:.2f} s",
         ]
@@ -366,6 +369,7 @@ def run(config: WorkloadConfig, watchdog: float = WATCHDOG_SECONDS) -> RunReport
         },
         lock_acquisitions=monitor.acquisitions,
         lock_violations=len(monitor.violations),
+        lock_handoffs=registry.lock_handoffs(),
         version_notes=tuple(recorder.version_notes()),
     )
 

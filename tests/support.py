@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import threading
 from dataclasses import replace
 
 from mvtostm import checker
@@ -687,6 +688,60 @@ class CachedReadRegistry(Registry):
             return value
         value = self.first_reads[key] = super().read(tx, object_id)
         return value
+
+
+# ------------------------------------------------------ ticket-lock reference
+
+
+class TicketLock:
+    """Reference FIFO lock: a Condition ticket lock whose release wakes
+    every waiter with notify_all, and only the ticket being served
+    proceeds. Abandoned tickets are skipped when served.
+
+    queued() is the number of drawn tickets not yet served, the same
+    measure as FairLock's queue length.
+    """
+
+    def __init__(self):
+        self._cond = threading.Condition()
+        self._next_ticket = 0
+        self._serving = 0
+        self._abandoned: set[int] = set()
+
+    def acquire(self) -> None:
+        with self._cond:
+            ticket = self._next_ticket
+            self._next_ticket += 1
+            try:
+                while ticket != self._serving:
+                    self._cond.wait()
+            except BaseException:
+                if ticket == self._serving:
+                    self._serve_next()
+                else:
+                    self._abandoned.add(ticket)
+                raise
+
+    def release(self) -> None:
+        with self._cond:
+            if self._serving == self._next_ticket:
+                raise RuntimeError("release unlocked lock")
+            self._serve_next()
+
+    def _serve_next(self) -> None:
+        self._serving += 1
+        while self._serving in self._abandoned:
+            self._abandoned.remove(self._serving)
+            self._serving += 1
+        self._cond.notify_all()
+
+    def locked(self) -> bool:
+        with self._cond:
+            return self._serving != self._next_ticket
+
+    def queued(self) -> int:
+        with self._cond:
+            return max(0, self._next_ticket - self._serving - 1 - len(self._abandoned))
 
 
 def random_lane_schedule(seed: int, object_count: int) -> list[tuple]:

@@ -131,6 +131,7 @@ class TestStress:
         out = capsys.readouterr().out
         assert "verdict=opaque" in out
         assert "ro_aborted=0" in out
+        assert "lock_handoffs=" in out and " hand-offs" in out
 
     def test_dump_round_trips(self, tmp_path, capsys):
         dump = tmp_path / "run.hist"

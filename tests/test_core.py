@@ -80,6 +80,13 @@ class TestRegistryBasics:
         assert reg.live_ids() == {1, 2, 3}
         assert reg.begin().id == 4
 
+    def test_lock_handoffs_sum_every_lock(self):
+        reg = Registry(2)
+        reg.tobject(1).lock.handoffs = 1
+        reg.tobject(2).lock.handoffs = 2
+        reg._live_lock.handoffs = 4
+        assert reg.lock_handoffs() == 7
+
     def test_unknown_object_rejected(self):
         reg = Registry(2)
         tx = reg.begin()

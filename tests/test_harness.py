@@ -112,6 +112,7 @@ class TestRun:
         assert report.verdict.status == "opaque"
         assert report.lock_violations == 0
         assert report.lock_acquisitions > 0
+        assert report.lock_handoffs == 0  # one thread never queues
 
     def test_contended_run_aborts_and_stays_opaque(self):
         report = None
