@@ -279,6 +279,11 @@ class _Analysis:
         return None
 
     @cached_property
+    def last_event(self) -> dict[int, int]:
+        """Index of each vertex's last event in the history; T0's is -1."""
+        return {T0: -1} | {e.tx: i for i, e in enumerate(self.history.events)}
+
+    @cached_property
     def reads(self) -> list[tuple[int, str, int]]:
         """(reader, object, writer) for every read with a committed writer."""
         reads = []
@@ -519,26 +524,15 @@ def check_with_order(history: History, order: VersionOrder | None = None) -> Ver
     return _order_verdict(analysis, order)
 
 
-def _closure(size: int, pairs) -> list[int] | None:
+def _closure(size: int, pairs) -> list[int]:
     """Per vertex index, the bit set of the vertices it reaches over
-    pairs, or None when pairs close a cycle."""
-    succ: list[list[int]] = [[] for _ in range(size)]
-    indeg = [0] * size
-    for u, v in pairs:
-        succ[u].append(v)
-        indeg[v] += 1
-    order = [v for v in range(size) if not indeg[v]]
-    for v in order:  # grows while it is walked: Kahn's peeling
-        for w in succ[v]:
-            indeg[w] -= 1
-            if not indeg[w]:
-                order.append(w)
-    if len(order) < size:
-        return None
+    pairs, each of which must run from a lower index to a higher one,
+    in one sweep from the highest source down."""
     reach = [0] * size
-    for v in reversed(order):
-        for w in succ[v]:
-            reach[v] |= reach[w] | 1 << w
+    for u, v in sorted(pairs, reverse=True):
+        if u >= v:
+            raise InvariantViolation("the rt, rf and T0 edges close a cycle")
+        reach[u] |= reach[v] | 1 << v
     return reach
 
 
@@ -564,9 +558,12 @@ def _first_acyclic(analysis: _Analysis) -> tuple[VersionOrder, int] | None:
     with its rank in that order counted from 1; or None.
 
     The walk goes object by object. The rt, rf and T0 edges are the same
-    under every order, so their reachability closure is built once. It is
-    acyclic: T0 comes first, and every other such edge ends at a
-    transaction whose last event comes later. An object's mv edges
+    under every order, so their reachability closure is built once, in
+    one sweep over the vertices indexed T0 first, then by last event.
+    Each such edge runs forward in that order, as it ends at a
+    transaction whose last event comes later (an rf writer committed
+    before the read, since invalid reads never reach the search); one
+    that does not is an InvariantViolation. An object's mv edges
     depend only on its own permutation and are added to the prefix's
     closure when the walk chooses it, so memory stays that of one path.
     Edges only accumulate along a prefix, so a prefix whose edges close
@@ -574,15 +571,14 @@ def _first_acyclic(analysis: _Analysis) -> tuple[VersionOrder, int] | None:
     """
     objs = sorted(analysis.writes)
     writers = [sorted(analysis.writes[obj]) for obj in objs]
-    index = {v: i for i, v in enumerate(sorted(analysis.vertices))}
+    last = analysis.last_event
+    index = {v: i for i, v in enumerate(sorted(last, key=last.__getitem__))}
     reads_of: dict[str, list] = defaultdict(list)
     for read in analysis.reads:
         reads_of[read[1]].append(read)
     root = _closure(
         len(index), [(index[u], index[v]) for u, v, _ in analysis.static_edges]
     )
-    if root is None:
-        raise InvariantViolation("the rt, rf and T0 edges close a cycle")
     # depth-first; a frame holds the closure of the edges its prefix fixes,
     # the prefix's rank and the next object's indexed permutations left
     stack = [(root, (), 0, enumerate(itertools.permutations(writers[0])))]

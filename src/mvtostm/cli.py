@@ -114,20 +114,23 @@ def stress_main(argv: list[str] | None = None) -> int:
         description="Run randomized transactions against the STM and "
         "verify the recorded history.",
     )
-    ap.add_argument("--threads", type=int, default=4)
-    ap.add_argument("--txs", type=int, default=25, help="transactions per thread")
-    ap.add_argument("--objects", type=int, default=16)
-    ap.add_argument("--reads", type=_parse_range, default=(1, 3), metavar="A..B")
-    ap.add_argument("--writes", type=_parse_range, default=(1, 2), metavar="A..B")
-    ap.add_argument("--ro-frac", type=float, default=0.2)
+    cfg = harness.WorkloadConfig()
+    ap.add_argument("--threads", type=int, default=cfg.threads)
+    ap.add_argument(
+        "--txs", type=int, default=cfg.txs_per_thread, help="transactions per thread"
+    )
+    ap.add_argument("--objects", type=int, default=cfg.object_count)
+    ap.add_argument("--reads", type=_parse_range, default=cfg.reads_per_tx, metavar="A..B")
+    ap.add_argument("--writes", type=_parse_range, default=cfg.writes_per_tx, metavar="A..B")
+    ap.add_argument("--ro-frac", type=float, default=cfg.ro_fraction)
     ap.add_argument(
         "--gc-threshold",
         type=int,
         default=0,
         help="collect an object once its version list exceeds this; 0 disables gc",
     )
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--retry-limit", type=int, default=2)
+    ap.add_argument("--seed", type=int, default=cfg.seed)
+    ap.add_argument("--retry-limit", type=int, default=cfg.retry_limit)
     ap.add_argument("--dump", metavar="PATH", help="write the history to PATH")
     args = ap.parse_args(argv)
     try:

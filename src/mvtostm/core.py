@@ -223,13 +223,12 @@ class Registry:
 
         Read-only transactions commit unconditionally. Update
         transactions lock their written objects in ascending id order
-        and validate each one. Once all pass, the live lock is taken
-        and held until tx has left the live set: every new version is
-        installed, then each is noted and its object collected when gc
-        is on, and the commit event is recorded. The object locks are
-        still held throughout, so any later read that returns one of
-        the new versions is recorded after the commit that published
-        them.
+        and validate each one. Once all pass, one live-lock section
+        takes tx out of the live set, installs every new version, notes
+        each one and collects its object when gc is on, and records the
+        commit event. The object locks are still held throughout, so
+        any later read that returns one of the new versions is recorded
+        after the commit that published them.
         """
         self._require_live(tx)
         targets = [(oid, self.tobject(oid)) for oid in sorted(tx.write_set)]
@@ -268,14 +267,20 @@ class Registry:
     ) -> None:
         """Terminate tx in one live-lock section.
 
-        Installs a version on each written object, then notes each one
-        and collects its object when gc is on, records event and drops
-        tx from the live set. Installed versions are visible, so tx
-        terminates even when the recorder or gc raises: it leaves the
-        live set with final_status before the exception propagates.
+        tx first leaves the live set with final_status, so it ends even
+        when the recorder or gc raises later, and a tx that is not live
+        raises before any version goes in. Then each written object gets
+        tx's version, noted and collected when gc is on, and event is
+        recorded. Collection deletes what it would with tx still live:
+        tx's id is its new version's timestamp, so it never lies
+        strictly inside a window of an object tx writes.
         """
         self._acquire(self._live_lock, self._live_rank)
         try:
+            if tx.id not in self._live:
+                raise InvariantViolation(f"transaction {tx.id} not in live set")
+            self._live.discard(tx.id)
+            tx.status = final_status
             for oid, tobj in written:
                 tobj.insert_version(VersionTuple(tx.id, tx.write_set[oid]))
             for oid, tobj in written:
@@ -285,13 +290,7 @@ class Registry:
                     insert_tuple(tobj, self.gc_threshold, self)
             self._record(event, tx.id)
         finally:
-            try:
-                tx.status = final_status
-                if tx.id not in self._live:
-                    raise InvariantViolation(f"transaction {tx.id} not in live set")
-                self._live.discard(tx.id)
-            finally:
-                self._release(self._live_lock, self._live_rank)
+            self._release(self._live_lock, self._live_rank)
 
     def _require_live(self, tx: Transaction) -> None:
         if tx.status != LIVE:

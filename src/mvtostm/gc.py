@@ -7,7 +7,9 @@ draws a timestamp above the newer one.
 
 Collection runs inside commit, while the committing transaction holds
 the object's lock and the registry's live lock, so it takes no lock of
-its own.
+its own. The committer has left the live set by then, which changes
+no deletion: its id is the new version's timestamp, so it never lies
+strictly inside a window of the object.
 """
 
 from __future__ import annotations

@@ -209,8 +209,8 @@ class RunReport:
     retries: int
     gave_up: int
     witnesses: tuple[tuple[int, int, int, int], ...]
-    versions_per_object: dict[int, int]
-    gc_deleted_per_object: dict[int, int]
+    max_versions: int
+    gc_deleted: int
     lock_acquisitions: int
     lock_violations: int
     lock_handoffs: int
@@ -223,10 +223,6 @@ class RunReport:
     @property
     def aborted(self) -> int:
         return self.ro_aborted + self.update_aborted
-
-    @property
-    def gc_deleted(self) -> int:
-        return sum(self.gc_deleted_per_object.values())
 
     def key_values(self) -> dict[str, object]:
         cfg = self.config
@@ -246,7 +242,7 @@ class RunReport:
             "retries": self.retries,
             "gave_up": self.gave_up,
             "gc_deleted": self.gc_deleted,
-            "max_versions": max(self.versions_per_object.values()),
+            "max_versions": self.max_versions,
             "lock_acquisitions": self.lock_acquisitions,
             "lock_violations": self.lock_violations,
             "lock_handoffs": self.lock_handoffs,
@@ -267,7 +263,7 @@ class RunReport:
             f"(ro {self.ro_aborted}, update {self.update_aborted}); "
             f"retries {self.retries}, gave up {self.gave_up}",
             f"gc: {self.gc_deleted} versions deleted; "
-            f"largest version list {max(self.versions_per_object.values())}",
+            f"largest version list {self.max_versions}",
             f"locks: {self.lock_acquisitions} acquisitions, "
             f"{self.lock_violations} order violations, "
             f"{self.lock_handoffs} hand-offs",
@@ -346,6 +342,7 @@ def run(config: WorkloadConfig, watchdog: float = WATCHDOG_SECONDS) -> RunReport
     verdict = check_with_order(history)
     update_aborted = tally[ABORT, True]
     gave_up = sum(s.gave_up for s in stats)
+    objects = [registry.tobject(oid) for oid in range(1, config.object_count + 1)]
     return RunReport(
         config=config,
         history=history,
@@ -359,14 +356,8 @@ def run(config: WorkloadConfig, watchdog: float = WATCHDOG_SECONDS) -> RunReport
         retries=update_aborted - gave_up,
         gave_up=gave_up,
         witnesses=tuple(w for s in stats for w in s.witnesses),
-        versions_per_object={
-            oid: len(registry.tobject(oid).versions)
-            for oid in range(1, config.object_count + 1)
-        },
-        gc_deleted_per_object={
-            oid: registry.tobject(oid).gc_deleted
-            for oid in range(1, config.object_count + 1)
-        },
+        max_versions=max(len(o.versions) for o in objects),
+        gc_deleted=sum(o.gc_deleted for o in objects),
         lock_acquisitions=monitor.acquisitions,
         lock_violations=len(monitor.violations),
         lock_handoffs=registry.lock_handoffs(),
@@ -413,8 +404,6 @@ def parse_script(text: str) -> tuple[list[str], list[ReplayStep]]:
         if tokens[0] == "objects":
             if objects is not None:
                 raise ReplayError(line_no, "duplicate objects line")
-            if steps:
-                raise ReplayError(line_no, "objects line must precede steps")
             if len(tokens) < 2:
                 raise ReplayError(line_no, "objects line names no objects")
             if len(tokens) == 2 and tokens[1].isdecimal():

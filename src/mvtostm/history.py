@@ -18,7 +18,7 @@ integers). Within one transaction all reads precede all writes, a begin
 from __future__ import annotations
 
 import threading
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 from .errors import HistoryFormatError
 
@@ -38,8 +38,14 @@ class Event:
     tx: int
     obj: str | None = None
     value: int | None = None
-    # accepted and ignored: an event's order is its index in its history
-    seq: InitVar[int] = 0
+
+    def __init__(self, kind: str, tx: int, obj=None, value=None, seq=None):
+        # seq is accepted and kept nowhere: an event's order is its index
+        # in its history
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "tx", tx)
+        object.__setattr__(self, "obj", obj)
+        object.__setattr__(self, "value", value)
 
     def line(self) -> str:
         if self.kind in (READ, WRITE):

@@ -3,8 +3,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from mvtostm import core
 from mvtostm.core import ABORTED, COMMITTED, LIVE, Registry, TObject, VersionTuple
 from mvtostm.errors import ConfigError, InvariantViolation, UsageError
+from mvtostm.gc import insert_tuple
 from mvtostm.history import COMMIT, Recorder
 from mvtostm.locks import LockOrderMonitor
 
@@ -289,11 +291,47 @@ class TestRecording:
         assert [(n.action, n.obj, n.ts) for n in notes] == [("insert", "1", 1)]
 
 
+class TestFinishOrder:
+    """A finishing transaction leaves the live set before its versions
+    go in, in the same live-lock section."""
+
+    def test_committer_is_not_live_while_its_objects_are_collected(self, monkeypatch):
+        registry = Registry(2, gc_threshold=1)
+        seen = []
+
+        def noting(tobj, threshold, reg):
+            seen.append((tobj.object_id, set(reg._live)))
+            insert_tuple(tobj, threshold, reg)
+
+        monkeypatch.setattr(core, "insert_tuple", noting)
+        older = registry.begin()
+        tx = registry.begin()
+        registry.write(tx, 1, 10)
+        registry.write(tx, 2, 20)
+        assert registry.try_commit(tx)
+        assert seen == [(1, {older.id}), (2, {older.id})]
+        # the live older transaction still pins the initial versions
+        assert [vt.ts for vt in registry.tobject(1).versions] == [0, tx.id]
+
+    def test_commit_of_a_transaction_not_in_the_live_set_installs_nothing(self):
+        recorder = Recorder()
+        registry = Registry(1, recorder=recorder)
+        tx = registry.begin()
+        registry.write(tx, 1, 10)
+        registry._live.discard(tx.id)
+        with pytest.raises(InvariantViolation, match="not in live set"):
+            registry.try_commit(tx)
+        assert [vt.ts for vt in registry.tobject(1).versions] == [0]
+        assert [e.line() for e in recorder.history()] == ["b 1", "w 1 1 10"]
+        assert not registry._live_lock.locked()
+        assert not registry.tobject(1).lock.locked()
+
+
 class TestExceptionSafety:
     """An exception raised while commit holds locks must release them.
 
-    It must also terminate the transaction: once validation passes, its
-    versions are installed and visible, so it ends committed.
+    It must also terminate the transaction: once validation passes, it
+    leaves the live set before its versions go in, so it ends committed.
     """
 
     @pytest.mark.parametrize(

@@ -4,7 +4,8 @@ import pytest
 
 from mvtostm import harness
 from mvtostm.checker import check_brute_force, timestamp_order
-from mvtostm.errors import ConfigError, ReplayError
+from mvtostm.core import Registry
+from mvtostm.errors import ConfigError, InvariantViolation, ReplayError
 from mvtostm.harness import (
     ReplayStep,
     WorkloadConfig,
@@ -15,7 +16,7 @@ from mvtostm.harness import (
     run,
     thread_script,
 )
-from mvtostm.history import parse
+from mvtostm.history import BEGIN, Recorder, parse
 from tests import support
 
 
@@ -160,7 +161,6 @@ class TestRun:
             assert report.update_aborted == len(report.witnesses), cfg
             assert report.committed + report.gave_up == total, cfg
             assert report.retries == report.aborted - report.gave_up, cfg
-            assert len(report.versions_per_object) == cfg.object_count
         assert any(r.gave_up > 0 for r in reports), "no input gave up a script"
         assert any(r.update_aborted > 0 for r in reports), "no contention"
         kv = reports[0].key_values()
@@ -202,6 +202,109 @@ class TestRun:
         # both runs issue identical scripts, so committed work matches.
         assert a.config == b.config
         assert a.committed + a.gave_up == b.committed + b.gave_up
+
+
+class TestRunRefusals:
+    """run() refuses a run that breaks a protocol guarantee. Each test
+    injects one fault into a one-thread run."""
+
+    CONFIG = WorkloadConfig(threads=1, txs_per_thread=3, seed=5)
+
+    def test_abort_without_a_witness(self, monkeypatch):
+        def abort(registry, tx):
+            registry.try_abort(tx)
+            return False
+
+        monkeypatch.setattr(Registry, "try_commit", abort)
+        with pytest.raises(
+            InvariantViolation, match="^transaction 1 aborted without a conflict witness$"
+        ):
+            run(self.CONFIG)
+
+    def test_witness_that_is_not_a_conflict(self, monkeypatch):
+        def abort(registry, tx):
+            registry.try_abort(tx)
+            tx.abort_witness = (1, tx.id, tx.id + 1)
+            return False
+
+        monkeypatch.setattr(Registry, "try_commit", abort)
+        with pytest.raises(
+            InvariantViolation,
+            match=r"^abort witness for 1 is not a conflict: 1 < 1 < 2 fails$",
+        ):
+            run(self.CONFIG)
+
+    def test_exception_in_a_worker(self, monkeypatch):
+        def read(registry, tx, object_id):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(Registry, "read", read)
+        with pytest.raises(RuntimeError, match="^injected$"):
+            run(self.CONFIG)
+
+    def test_malformed_recording(self, monkeypatch):
+        on_event = Recorder.on_event
+
+        def begin_twice(recorder, kind, tx, obj=None, value=None):
+            on_event(recorder, kind, tx, obj, value)
+            if kind == BEGIN:
+                on_event(recorder, kind, tx, obj, value)
+
+        monkeypatch.setattr(Recorder, "on_event", begin_twice)
+        with pytest.raises(
+            InvariantViolation,
+            match="^recorded history is malformed: "
+            "begin is not the first event of transaction 1$",
+        ):
+            run(self.CONFIG)
+
+    def test_live_set_not_drained(self, monkeypatch):
+        begin = Registry.begin
+
+        def leaky(registry):
+            begin(registry)  # a transaction nobody finishes
+            return begin(registry)
+
+        monkeypatch.setattr(Registry, "begin", leaky)
+        with pytest.raises(
+            InvariantViolation, match=r"^live set not drained: \[1, 3, 5\]$"
+        ):
+            run(self.CONFIG)
+
+    def test_lock_order_violation(self, monkeypatch):
+        read = Registry.read
+
+        def read_under_live_lock(registry, tx, object_id):
+            registry._acquire(registry._live_lock, registry._live_rank)
+            try:
+                return read(registry, tx, object_id)
+            finally:
+                registry._release(registry._live_lock, registry._live_rank)
+
+        monkeypatch.setattr(Registry, "read", read_under_live_lock)
+        # (thread, held ranks, acquired rank): the live lock ranks 17
+        with pytest.raises(
+            InvariantViolation, match=r"^lock order violated: \[\(\d+, \(17,\), \d+\)"
+        ):
+            run(self.CONFIG)
+
+    def test_read_only_abort(self, monkeypatch):
+        try_commit = Registry.try_commit
+
+        def abort_readers(registry, tx):
+            if not tx.read_only:
+                return try_commit(registry, tx)
+            registry.try_abort(tx)
+            tx.abort_witness = (1, 0, tx.id + 1)
+            return False
+
+        monkeypatch.setattr(Registry, "try_commit", abort_readers)
+        config = WorkloadConfig(threads=1, txs_per_thread=1, ro_fraction=1.0, seed=5)
+        with pytest.raises(
+            InvariantViolation,
+            match="^3 read-only transactions aborted; reads never conflict$",
+        ):
+            run(config)
 
 
 class TestParseScript:

@@ -1,4 +1,5 @@
 import threading
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,6 +27,13 @@ class TestEvent:
     def test_position_is_not_stored(self):
         # an event's order is its index in its history; seq is ignored
         assert Event("r", 1, "x", 0, seq=7) == Event("r", 1, "x", 0)
+        assert hash(Event("r", 1, "x", 0, seq=7)) == hash(Event("r", 1, "x", 0))
+
+    def test_seq_is_not_an_attribute(self):
+        for event in (Event("c", 2), Event("r", 1, "x", 0, seq=7)):
+            with pytest.raises(AttributeError):
+                event.seq
+        assert replace(Event("r", 1, "x", 0, seq=7), tx=2) == Event("r", 2, "x", 0)
 
 
 class TestParse:
@@ -127,6 +135,10 @@ class TestWellFormedness:
         idx, msg = well_formedness_violation(events)
         assert idx == 1
         assert "read after write" in msg
+
+    def test_unknown_kind(self):
+        events = (Event("b", 1), Event("x", 1))
+        assert well_formedness_violation(events) == (1, "unknown event kind 'x'")
 
 
 class TestRecorder:
