@@ -48,6 +48,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from operator import attrgetter
 
 from .errors import InvariantViolation, UsageError
 from .history import (
@@ -67,6 +68,8 @@ MV = "mv"
 T0 = 0
 
 DEFAULT_BUDGET = 10**6
+
+_tx = attrgetter("tx")
 
 VersionOrder = dict[str, tuple[int, ...]]
 
@@ -197,15 +200,14 @@ def illegal_read(history: History) -> Event | None:
 
 
 def equivalent(h1: History, h2: History) -> bool:
-    """Same events transaction by transaction, order within each kept."""
+    """Same events transaction by transaction, order within each kept.
 
-    def by_tx(h: History):
-        per: dict[int, list] = defaultdict(list)
-        for e in h.events:
-            per[e.tx].append((e.kind, e.obj, e.value))
-        return dict(per)
-
-    return by_tx(h1) == by_tx(h2)
+    A stable sort by tx groups each transaction's events in their own
+    order. Every event of a group has that group's tx, so comparing
+    whole events compares kind, object and value; an event shared by
+    both histories compares by identity.
+    """
+    return sorted(h1.events, key=_tx) == sorted(h2.events, key=_tx)
 
 
 # --------------------------------------------------------------------- graph

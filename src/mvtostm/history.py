@@ -13,12 +13,22 @@ initializing transaction that wrote 0 to every object and never appears
 as an event. Objects are free-form tokens (typically "x1".."xn" or bare
 integers). Within one transaction all reads precede all writes, a begin
 (if present) comes first, and nothing follows the single terminal event.
+In the text, ids are ASCII digits and values ASCII digits with an
+optional leading "-", the spelling serialize writes; a "#" starts a
+comment.
+
+An Event is an immutable named tuple of its four fields, so it costs
+about what a tuple costs to build, compare and hash; its position is its
+index in its history. parse and the Recorder build events straight from
+their fields, and parse checks each line and the history's shape in one
+pass over the text.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import HistoryFormatError
 
@@ -31,26 +41,34 @@ ABORT = "a"
 EVENT_KINDS = frozenset((BEGIN, READ, WRITE, COMMIT, ABORT))
 TERMINALS = frozenset((COMMIT, ABORT))
 
+# _new_tuple(Event, fields) builds an event with no Python-level call
+_new_tuple = tuple.__new__
 
-@dataclass(frozen=True)
-class Event:
+
+class _EventFields(NamedTuple):
     kind: str
     tx: int
     obj: str | None = None
     value: int | None = None
 
-    def __init__(self, kind: str, tx: int, obj=None, value=None, seq=None):
-        # seq is accepted and kept nowhere: an event's order is its index
-        # in its history
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "tx", tx)
-        object.__setattr__(self, "obj", obj)
-        object.__setattr__(self, "value", value)
+
+class Event(_EventFields):
+    """One event: an immutable named tuple of kind, tx, obj and value.
+
+    It compares and hashes as that tuple. An event's order is its index
+    in its history, so seq= is accepted and kept nowhere.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, tx: int, obj=None, value=None, seq=None):
+        return _new_tuple(cls, (kind, tx, obj, value))
 
     def line(self) -> str:
-        if self.kind in (READ, WRITE):
-            return f"{self.kind} {self.tx} {self.obj} {self.value}"
-        return f"{self.kind} {self.tx}"
+        kind = self.kind
+        if kind == READ or kind == WRITE:
+            return "%s %s %s %s" % self
+        return f"{kind} {self.tx}"
 
 
 def well_formedness_violation(events) -> tuple[int, str] | None:
@@ -95,7 +113,7 @@ class History:
         return {e.tx for e in self.events if e.kind == ABORT}
 
     def incomplete(self) -> set[int]:
-        return self.txns() - self.committed() - self.aborted()
+        return self.txns() - {e.tx for e in self.events if e.kind in TERMINALS}
 
     def events_of(self, tx: int) -> tuple[Event, ...]:
         return tuple(e for e in self.events if e.tx == tx)
@@ -123,54 +141,74 @@ class History:
     def serialize(self) -> str:
         if not self.events:
             return ""
-        return "\n".join(e.line() for e in self.events) + "\n"
+        return "\n".join(map(Event.line, self.events)) + "\n"
+
+
+def _signed(token: str) -> int | None:
+    """The integer an optional "-" and ASCII digits spell, or None."""
+    digits = token[1:] if token[:1] == "-" else token
+    if digits.isdigit() and digits.isascii():
+        return int(token)
+    return None
 
 
 def parse(text: str) -> History:
     """Parse the line format back into a History.
 
     Rejects malformed lines and histories that are not well formed,
-    always naming the offending line.
+    always naming the offending line. A line that does not parse is
+    reported before any shape violation, wherever each lies. Ids and
+    values are ASCII digits, a value with an optional leading "-": the
+    spelling serialize writes.
     """
     events: list[Event] = []
-    lines: list[int] = []
+    append = events.append
+    last_kind: dict[int, str] = {}
+    shape: tuple[int, str] | None = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
         kind = tokens[0]
         if kind not in EVENT_KINDS:
             raise HistoryFormatError(line_no, f"unknown event kind {kind!r}")
-        want = 4 if kind in (READ, WRITE) else 2
+        want = 4 if kind == READ or kind == WRITE else 2
         if len(tokens) != want:
             raise HistoryFormatError(
                 line_no, f"expected {want} fields for {kind!r}, got {len(tokens)}"
             )
-        try:
-            tx = int(tokens[1], 10)
-        except ValueError:
-            raise HistoryFormatError(line_no, f"bad transaction id {tokens[1]!r}") from None
+        token = tokens[1]
+        tx = int(token) if token.isdigit() and token.isascii() else _signed(token)
+        if tx is None:
+            raise HistoryFormatError(line_no, f"bad transaction id {token!r}")
         if tx < 1:
             raise HistoryFormatError(line_no, f"transaction id must be positive, got {tx}")
-        obj = value = None
-        if kind in (READ, WRITE):
-            obj = tokens[2]
-            try:
-                value = int(tokens[3], 10)
-            except ValueError:
-                raise HistoryFormatError(line_no, f"bad value {tokens[3]!r}") from None
-        events.append(Event(kind, tx, obj, value))
-        lines.append(line_no)
-    bad = well_formedness_violation(events)
-    if bad is not None:
-        idx, msg = bad
-        raise HistoryFormatError(lines[idx], msg)
+        if want == 4:
+            obj, token = tokens[2], tokens[3]
+            value = int(token) if token.isdigit() and token.isascii() else _signed(token)
+            if value is None:
+                raise HistoryFormatError(line_no, f"bad value {token!r}")
+        else:
+            obj = value = None
+        if shape is None:
+            # the checks of well_formedness_violation that parsing leaves open
+            before = last_kind.get(tx)
+            if before in TERMINALS:
+                shape = line_no, f"event after terminal of transaction {tx}"
+            elif kind == BEGIN and before is not None:
+                shape = line_no, f"begin is not the first event of transaction {tx}"
+            elif kind == READ and before == WRITE:
+                shape = line_no, f"read after write in transaction {tx}"
+            last_kind[tx] = kind
+        append(_new_tuple(Event, (kind, tx, obj, value)))
+    if shape is not None:
+        raise HistoryFormatError(*shape)
     return History(tuple(events))
 
 
-@dataclass(frozen=True)
-class VersionNote:
+class VersionNote(NamedTuple):
     """Side-log entry for one version-list insertion or deletion.
 
     after_seq is the index of the last history event recorded before the
@@ -208,7 +246,7 @@ class Recorder:
     def on_event(self, kind: str, tx: int, obj=None, value=None) -> None:
         name = self._object_name(obj) if obj is not None else None
         with self._guard:
-            self._events.append(Event(kind, tx, name, value))
+            self._events.append(_new_tuple(Event, (kind, tx, name, value)))
 
     def on_version_insert(self, obj, ts: int) -> None:
         self._note("insert", obj, ts)
@@ -219,7 +257,8 @@ class Recorder:
     def _note(self, action: str, obj, ts: int) -> None:
         name = self._object_name(obj)
         with self._guard:
-            self._notes.append(VersionNote(action, name, ts, len(self._events) - 1))
+            note = (action, name, ts, len(self._events) - 1)
+            self._notes.append(_new_tuple(VersionNote, note))
 
     def history(self) -> History:
         with self._guard:

@@ -12,22 +12,23 @@ import itertools
 import math
 import random
 import threading
-from dataclasses import replace
 
 from mvtostm import checker
 from mvtostm.checker import Verdict, invalid_read
 from mvtostm.core import ABORTED, COMMITTED, Registry, Transaction, VersionTuple
-from mvtostm.errors import UsageError
+from mvtostm.errors import HistoryFormatError, UsageError
 from mvtostm.history import (
     ABORT,
     BEGIN,
     COMMIT,
+    EVENT_KINDS,
     READ,
     TERMINALS,
     WRITE,
     Event,
     History,
     VersionNote,
+    well_formedness_violation,
 )
 
 # Printed by conftest's terminal summary hook after the run.
@@ -310,8 +311,8 @@ def mutate_illegal(seed: int, history: History) -> History | None:
         return None
     target = rng.choice(reads)
     events = list(history.events)
-    bad = replace(
-        events[target], value=events[target].value + 1 + rng.randint(0, 3)
+    bad = events[target]._replace(
+        value=events[target].value + 1 + rng.randint(0, 3)
     )
     events[target] = bad
     return History(tuple(events))
@@ -332,6 +333,66 @@ def shuffle_preserving_tx_order(seed: int, history: History) -> History:
         if not pending[lane]:
             pending.pop(lane)
     return History(tuple(merged))
+
+
+# -------------------------------------------------------- parser references
+
+
+def reference_parse(text: str) -> History:
+    """The parser as it was before events became named tuples: every line
+    checked on its own, the shape walked afterwards by
+    well_formedness_violation. It takes integers with int(token, 10), so
+    it also accepts "1_0", "+5" and non-ASCII digits, which parse now
+    rejects; a differential test must keep such tokens out of its texts.
+    """
+    events: list[Event] = []
+    lines: list[int] = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        kind = tokens[0]
+        if kind not in EVENT_KINDS:
+            raise HistoryFormatError(line_no, f"unknown event kind {kind!r}")
+        want = 4 if kind in (READ, WRITE) else 2
+        if len(tokens) != want:
+            raise HistoryFormatError(
+                line_no, f"expected {want} fields for {kind!r}, got {len(tokens)}"
+            )
+        try:
+            tx = int(tokens[1], 10)
+        except ValueError:
+            raise HistoryFormatError(line_no, f"bad transaction id {tokens[1]!r}") from None
+        if tx < 1:
+            raise HistoryFormatError(line_no, f"transaction id must be positive, got {tx}")
+        obj = value = None
+        if kind in (READ, WRITE):
+            obj = tokens[2]
+            try:
+                value = int(tokens[3], 10)
+            except ValueError:
+                raise HistoryFormatError(line_no, f"bad value {tokens[3]!r}") from None
+        events.append(Event(kind, tx, obj, value))
+        lines.append(line_no)
+    bad = well_formedness_violation(events)
+    if bad is not None:
+        idx, msg = bad
+        raise HistoryFormatError(lines[idx], msg)
+    return History(tuple(events))
+
+
+def tuple_equivalent(h1: History, h2: History) -> bool:
+    """checker.equivalent as it was: each transaction's events projected
+    to (kind, obj, value) tuples, bucket by bucket."""
+
+    def by_tx(h: History):
+        per: dict[int, list] = {}
+        for e in h.events:
+            per.setdefault(e.tx, []).append((e.kind, e.obj, e.value))
+        return per
+
+    return by_tx(h1) == by_tx(h2)
 
 
 # ------------------------------------------------------------------ oracles

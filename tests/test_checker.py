@@ -2,7 +2,6 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -198,6 +197,74 @@ class TestSequential:
     def test_sequential_order_follows_block_positions(self):
         h = parse("w 2 x 5\nc 2\nw 1 x 9\nc 1\n")
         assert sequential_order(h) == {"x": (0, 2, 1)}
+
+
+def _witnesses():
+    """(seed, witness, completion) for every opaque golden concurrent history."""
+    for seed in range(600):
+        h = support.random_concurrent_history(seed)
+        verdict = check_auto(h)
+        if verdict.opaque:
+            yield seed, verdict.serialization, h.complete()
+
+
+def _mutants(seed: int, s: History):
+    """The witness with one event's value changed, with one event dropped,
+    and with two different events of one transaction swapped."""
+    rng = random.Random(f"equivalent/{seed}")
+    events = list(s.events)
+    valued = [i for i, e in enumerate(events) if e.value is not None]
+    i = rng.choice(valued)
+    changed = events.copy()
+    changed[i] = events[i]._replace(value=events[i].value + 1)
+    yield "value", History(tuple(changed))
+    dropped = events.copy()
+    del dropped[rng.randrange(len(events))]
+    yield "drop", History(tuple(dropped))
+    pairs = [
+        (i, j)
+        for i, j in itertools.combinations(range(len(events)), 2)
+        if events[i].tx == events[j].tx and events[i] != events[j]
+    ]
+    i, j = rng.choice(pairs)
+    swapped = events.copy()
+    swapped[i], swapped[j] = events[j], events[i]
+    yield "swap", History(tuple(swapped))
+
+
+class TestEquivalent:
+    def test_witness_is_equivalent_to_its_completion(self):
+        count = 0
+        for _seed, s, completed in _witnesses():
+            assert equivalent(s, completed)
+            assert support.tuple_equivalent(s, completed)
+            count += 1
+        assert count > 50
+
+    def test_mutated_witnesses_are_not_equivalent(self):
+        # each mutant is refused, as the (kind, obj, value) projection did
+        seen = Counter()
+        for seed, s, completed in _witnesses():
+            for how, mutant in _mutants(seed, s):
+                assert not support.tuple_equivalent(mutant, completed), how
+                assert not equivalent(mutant, completed), (seed, how)
+                assert not equivalent(completed, mutant), (seed, how)
+                seen[how] += 1
+        assert set(seen) == {"value", "drop", "swap"}
+        assert min(seen.values()) > 50
+
+    def test_other_interleavings_are_equivalent(self):
+        for seed in range(200):
+            h = support.random_well_formed_history(seed)
+            other = support.shuffle_preserving_tx_order(seed, h)
+            assert equivalent(h, other)
+            assert support.tuple_equivalent(h, other)
+
+    def test_events_compare_whole_within_a_transaction(self):
+        h = History((Event("r", 1, "x", 0), Event("c", 1)))
+        assert not equivalent(h, History((Event("r", 1, "y", 0), Event("c", 1))))
+        assert not equivalent(h, History((Event("r", 1, "x", 0), Event("a", 1))))
+        assert not equivalent(h, History((Event("r", 2, "x", 0), Event("c", 1))))
 
 
 class TestBuildGraph:
@@ -625,7 +692,7 @@ def _renumbered(seed: int, history: History) -> History:
     shuffled = ids[:]
     rng.shuffle(shuffled)
     new_id = dict(zip(ids, shuffled))
-    return History(tuple(replace(e, tx=new_id[e.tx]) for e in history.events))
+    return History(tuple(e._replace(tx=new_id[e.tx]) for e in history.events))
 
 
 def _random_order(seed: int, history: History) -> dict:

@@ -1,5 +1,5 @@
+import pickle
 import threading
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,7 +12,7 @@ from mvtostm.history import (
     parse,
     well_formedness_violation,
 )
-from tests import support
+from tests import golden, support
 
 
 class TestEvent:
@@ -33,7 +33,38 @@ class TestEvent:
         for event in (Event("c", 2), Event("r", 1, "x", 0, seq=7)):
             with pytest.raises(AttributeError):
                 event.seq
-        assert replace(Event("r", 1, "x", 0, seq=7), tx=2) == Event("r", 2, "x", 0)
+        assert Event("r", 1, "x", 0, seq=7)._replace(tx=2) == Event("r", 2, "x", 0)
+
+    def test_replace_builds_a_new_event(self):
+        event = Event("w", 1, "x", 5)
+        changed = event._replace(value=6)
+        assert type(changed) is Event
+        assert changed.line() == "w 1 x 6"
+        assert event.line() == "w 1 x 5"
+
+    def test_fields_are_read_only(self):
+        event = Event("r", 1, "x", 0)
+        for field in ("kind", "tx", "obj", "value"):
+            with pytest.raises(AttributeError):
+                setattr(event, field, 1)
+        with pytest.raises(AttributeError):
+            event.seq = 3
+        assert event == Event("r", 1, "x", 0)
+
+    def test_repr(self):
+        assert repr(Event("r", 1, "x", 0)) == "Event(kind='r', tx=1, obj='x', value=0)"
+        assert repr(Event("c", 2)) == "Event(kind='c', tx=2, obj=None, value=None)"
+
+    def test_hash_is_that_of_the_field_tuple(self):
+        assert hash(Event("w", 3, "y", -1)) == hash(("w", 3, "y", -1))
+
+    def test_history_survives_pickle(self):
+        # a checker in another process unpickles recorded histories
+        h = parse(support.REFERENCE_TEXT)
+        again = pickle.loads(pickle.dumps(h))
+        assert again == h
+        assert all(type(e) is Event for e in again.events)
+        assert again.serialize() == support.REFERENCE_TEXT
 
 
 class TestParse:
@@ -77,6 +108,165 @@ class TestParse:
     def test_begin_optional(self):
         h = parse("r 1 x 0\nb 2\nc 1\nc 2\n")
         assert h.txns() == {1, 2}
+
+    def test_negative_values(self):
+        h = parse("w 1 x -5\nc 1\nr 2 x -5\n")
+        assert [e.value for e in h] == [-5, None, -5]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # each spelling names transaction 10 or value 5 to int()
+            ("b 1_0\n", "bad transaction id '1_0'"),
+            ("r \u0661\u0660 x 0\n", "bad transaction id '\u0661\u0660'"),
+            ("b +5\n", "bad transaction id '+5'"),
+            ("w 1 x +5\n", "bad value '+5'"),
+            ("w 1 x 1_0\n", "bad value '1_0'"),
+            ("w 1 x \u0661\u0660\n", "bad value '\u0661\u0660'"),
+            ("w 1 x -+5\n", "bad value '-+5'"),
+            ("w 1 x -\n", "bad value '-'"),
+            ("w 1 x \uff15\n", "bad value '\uff15'"),
+        ],
+    )
+    def test_integers_are_ascii_digits(self, text, message):
+        with pytest.raises(HistoryFormatError) as err:
+            parse("b 3\nc 3\n" + text)
+        assert err.value.line_no == 3
+        assert str(err.value) == f"line 3: {message}"
+
+    def test_a_bad_line_outranks_an_earlier_shape_violation(self):
+        # every line is read before the shape is judged
+        with pytest.raises(HistoryFormatError) as err:
+            parse("c 1\nr 1 x 0\nr 2 x oops\n")
+        assert str(err.value) == "line 3: bad value 'oops'"
+        with pytest.raises(HistoryFormatError) as err:
+            parse("c 1\nr 1 x 0\nr 2 x 0\nb 2\n")
+        assert str(err.value) == "line 2: event after terminal of transaction 1"
+
+
+def _outcome(parser, text):
+    try:
+        return parser(text)
+    except HistoryFormatError as exc:
+        return exc.line_no, str(exc)
+
+
+# Tokens that int(token, 10) rejects too, so both parsers must refuse them
+# with the same message.
+BAD_INTEGERS = ("one", "1x", "x1", "0x1f", "1.0", "--1", "1-", "-", "1e3", "1,0")
+CORRUPTIONS = (
+    "drop_field",
+    "bad_integer",
+    "unknown_kind",
+    "comment",
+    "blank",
+    "after_terminal",
+    "read_after_write",
+)
+
+
+def _corrupt(lines: list[str], how: str, at: int, pick: int) -> None:
+    """Apply one corruption to the text's lines in place."""
+    i = at % (len(lines) + 1)
+    target = lines[i % len(lines)].split() if lines else []
+    if how == "blank":
+        lines.insert(i, ("", "   ", "\t")[pick % 3])
+    elif how == "comment":
+        if not target or pick % 3 == 0:
+            lines.insert(i, "# a comment line")
+        elif pick % 3 == 1:
+            lines[i % len(lines)] += "  # trailing"
+        else:
+            # a "#" inside a line cuts it short
+            cut = 1 + pick % len(target)
+            lines[i % len(lines)] = " ".join(target[:cut]) + " #" + " ".join(target[cut:])
+    elif not target:
+        lines.append("q 1")
+    elif how == "drop_field":
+        del target[pick % len(target)]
+        lines[i % len(lines)] = " ".join(target)
+    elif how == "bad_integer":
+        bad = BAD_INTEGERS[pick % len(BAD_INTEGERS)]
+        slot = (1, 3)[pick % 2] if len(target) == 4 else 1
+        if slot < len(target):
+            target[slot] = bad
+        else:
+            target.append(bad)
+        lines[i % len(lines)] = " ".join(target)
+    elif how == "unknown_kind":
+        target[0] = ("q", "R", "bb", "x", "rw")[pick % 5]
+        lines[i % len(lines)] = " ".join(target)
+    elif how == "after_terminal":
+        ends = [j for j, line in enumerate(lines) if line[:2] in ("c ", "a ")]
+        if ends:
+            j = ends[pick % len(ends)]
+            tokens = lines[j].split()
+            if len(tokens) >= 2:
+                lines.insert(j + 1 + pick % (len(lines) - j), f"r {tokens[1]} x 0")
+    elif how == "read_after_write":
+        writes = [j for j, line in enumerate(lines) if line.startswith("w ")]
+        if writes:
+            j = writes[pick % len(writes)]
+            tokens = lines[j].split()
+            if len(tokens) >= 3:
+                lines.insert(j + 1, f"r {tokens[1]} {tokens[2]} 0")
+
+
+class TestParserAgainstReference:
+    """parse gives support.reference_parse's events, or raises the same
+    HistoryFormatError, on every golden input and on corrupted texts."""
+
+    def test_golden_inputs(self):
+        texts = [getattr(support, name) for name in (
+            "REFERENCE_TEXT",
+            "WRITE_SKEW_TEXT",
+            "ABORTED_READER_TEXT",
+            "CYCLIC_FIRST_PREFIX_TEXT",
+        )]
+        texts.append(golden.AMBIGUOUS_TEXT)
+        texts.extend(h.serialize() for _name, h in golden.inputs())
+        for text in texts:
+            assert parse(text) == support.reference_parse(text)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        concurrent=st.booleans(),
+        corruptions=st.lists(
+            st.tuples(
+                st.sampled_from(CORRUPTIONS),
+                st.integers(min_value=0, max_value=1_000),
+                st.integers(min_value=0, max_value=1_000),
+            ),
+            max_size=3,
+        ),
+    )
+    def test_corrupted_texts(self, seed, concurrent, corruptions):
+        if concurrent:
+            h = support.random_concurrent_history(seed)
+        else:
+            h = support.random_well_formed_history(seed)
+        lines = h.serialize().splitlines()
+        for how, at, pick in corruptions:
+            _corrupt(lines, how, at, pick)
+        text = "\n".join(lines) + "\n"
+        assert _outcome(parse, text) == _outcome(support.reference_parse, text)
+
+    @pytest.mark.parametrize("how", CORRUPTIONS)
+    def test_each_corruption_is_rejected_alike(self, how):
+        refused = 0
+        for seed in range(40):
+            lines = support.random_concurrent_history(seed).serialize().splitlines()
+            _corrupt(lines, how, seed * 7, seed)
+            text = "\n".join(lines) + "\n"
+            got = _outcome(parse, text)
+            assert got == _outcome(support.reference_parse, text)
+            refused += isinstance(got, tuple)
+        # blank lines are legal, and so are comments unless a "#" cuts a
+        # line short; every other corruption breaks the text
+        if how == "blank":
+            assert refused == 0
+        elif how != "comment":
+            assert refused > 0
 
 
 class TestHistory:
