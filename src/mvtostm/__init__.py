@@ -17,6 +17,7 @@ from .checker import (
     OpacityGraph,
     Verdict,
     build_graph,
+    certify_text,
     check_auto,
     check_brute_force,
     check_with_order,
@@ -110,6 +111,7 @@ __all__ = [
     "WRITE",
     "WorkloadConfig",
     "build_graph",
+    "certify_text",
     "check_auto",
     "check_brute_force",
     "check_with_order",

@@ -31,6 +31,16 @@ the graph would yield, and the graph is never built. This is the
 common case on MVTO histories, where timestamp order is the witness.
 Otherwise the graph decides, as above.
 
+Text comes first. certify_text reads a history's text in one pass and
+decides whether the ascending serialization certifies it, the check
+above in stream form: legality is the predecessor fact (a read returns
+the newest committed version below the reader, and a commit finds no
+reader above it of its predecessor's version), equivalence is a line
+count, and real time holds when no larger id terminated before a
+transaction began. Its witness is the input's own lines regrouped by
+id. opacity-check builds events and calls check_with_order or
+check_auto only when it declines.
+
 When the timestamp order fails, check_auto searches the other version
 orders in product order: objects sorted, each object's writers through
 their permutations in lexicographic order, ascending first. The first
@@ -44,6 +54,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -53,6 +64,8 @@ from operator import attrgetter
 from .errors import InvariantViolation, UsageError
 from .history import (
     ABORT,
+    BEGIN,
+    CANONICAL_LINES,
     COMMIT,
     READ,
     TERMINALS,
@@ -225,25 +238,26 @@ class OpacityGraph:
         return {(u, v) for u, v, lab in self.edges if lab == label}
 
 
-def _mv_edges(reads, writers_by_obj, positions) -> set[tuple[int, int, str]]:
-    """Version-order constraints from each read.
+def _mv_pairs(reads, seq) -> list[tuple[int, int]]:
+    """Version-order constraints from one object's reads, as (from, to)
+    pairs.
 
-    For read (k, obj, j) and any other committed writer i of obj: if i's
-    version is ordered before j's, i must serialize before j; otherwise
-    the reader k must serialize before i. The writer that was read and
-    the reader itself impose nothing on themselves.
+    reads holds (reader, writer) pairs and seq the object's committed
+    writers in version order, all in one labelling of the vertices. For
+    a read of j by k and any other writer i: if i's version is ordered
+    before j's, i must serialize before j; otherwise the reader k must
+    serialize before i. The writer that was read and the reader itself
+    impose nothing on themselves.
     """
-    edges: set[tuple[int, int, str]] = set()
-    for k, obj, j in reads:
-        pos = positions[obj]
-        for i in writers_by_obj[obj]:
-            if i == j or i == k:
-                continue
-            if pos[i] < pos[j]:
-                edges.add((i, j, MV))
-            else:
-                edges.add((k, i, MV))
-    return edges
+    pairs = []
+    for k, j in reads:
+        older = True  # i's version comes before j's
+        for i in seq:
+            if i == j:
+                older = False
+            elif i != k:
+                pairs.append((i, j) if older else (k, i))
+    return pairs
 
 
 class _Analysis:
@@ -286,14 +300,15 @@ class _Analysis:
         return {T0: -1} | {e.tx: i for i, e in enumerate(self.history.events)}
 
     @cached_property
-    def reads(self) -> list[tuple[int, str, int]]:
-        """(reader, object, writer) for every read with a committed writer."""
-        reads = []
+    def reads(self) -> dict[str, list[tuple[int, int]]]:
+        """Per object, (reader, writer) for every read with a committed
+        writer."""
+        reads: dict[str, list[tuple[int, int]]] = defaultdict(list)
         for e in self.history.events:
             if e.kind == READ:
                 writer = _resolve_writer(self._index, e.obj, e.value)
                 if writer is not None:
-                    reads.append((e.tx, e.obj, writer))
+                    reads[e.obj].append((e.tx, writer))
         return reads
 
     @cached_property
@@ -306,9 +321,10 @@ class _Analysis:
         for t in self.vertices:
             if t != T0:
                 static.add((T0, t, RT))
-        for k, _obj, j in self.reads:
-            if j != k:
-                static.add((j, k, RF))
+        for reads in self.reads.values():
+            for k, j in reads:
+                if j != k:
+                    static.add((j, k, RF))
         return frozenset(static)
 
     def validate_order(self, order: VersionOrder) -> None:
@@ -326,11 +342,9 @@ class _Analysis:
                 )
 
     def graph(self, order: VersionOrder) -> OpacityGraph:
-        positions = {
-            obj: {w: p for p, w in enumerate(seq)} for obj, seq in order.items()
-        }
         edges = set(self.static_edges)
-        edges |= _mv_edges(self.reads, self.writes, positions)
+        for obj, seq in order.items():
+            edges.update((u, v, MV) for u, v in _mv_pairs(self.reads.get(obj, ()), seq))
         return OpacityGraph(self.vertices, frozenset(edges))
 
 
@@ -526,6 +540,111 @@ def check_with_order(history: History, order: VersionOrder | None = None) -> Ver
     return _order_verdict(analysis, order)
 
 
+def certify_text(text: str) -> tuple[VersionOrder, str] | None:
+    """The timestamp order and the text of the ascending serialization,
+    when that serialization certifies the history text; otherwise None.
+
+    It decides in one pass over the lines. Whenever it answers, parse
+    and then check_with_order or check_auto would call the history
+    opaque under this order, one order tried, with this witness: each
+    transaction's lines in ascending id, and "a <id>" after a live one's.
+    It takes only canonical lines (history.CANONICAL_LINES), so every
+    error, message and line number still comes from parse. It declines
+    on any other text, and at the first line that breaks one of these
+    rules:
+
+    * shape: nothing follows a terminal, a begin comes first and no read
+      follows a write of its transaction;
+    * valid reads: the value read is committed on its object, before
+      the read, by one writer, T0 writing 0; two committed writers of
+      one value on one object decline even unread;
+    * legality under ascending order, by the predecessor fact: at a read
+      by i, the newest committed writer below i wrote the value read;
+      at a commit of j on an object, no reader above j has read the
+      version of j's predecessor there;
+    * real time: no transaction with a larger id terminated before a
+      transaction's first line.
+
+    Equivalence holds by construction. Its stream form is a line count:
+    every input line is in the witness once, or InvariantViolation.
+    """
+    found = CANONICAL_LINES.findall(text)
+    lines = text.count("\n")
+    if text and not text.endswith("\n"):
+        lines += 1
+    if len(found) != lines:
+        return None
+    groups: dict[int, list[str]] = {}  # each transaction's lines, in order
+    # per object: each committed value's version, and the committed
+    # writers ascending, T0 first, beside their versions; a version is a
+    # one-slot list holding the largest id that read it
+    objects: dict[str, tuple[dict[str, list[int]], list[int], list[list[int]]]] = {}
+    staged: dict[int, dict[str, str]] = {}  # last value written per object
+    done = 0  # the largest id terminated so far
+    for line, rw, rw_tx, obj, value, other, other_tx in found:
+        kind = rw or other
+        tx = int(rw_tx or other_tx)
+        group = groups.get(tx)
+        if group is None:
+            if done > tx:
+                return None
+            groups[tx] = [line]
+        else:
+            before = group[-1][0]
+            if before in TERMINALS or kind == BEGIN or (kind == READ and before == WRITE):
+                return None
+            group.append(line)
+        if rw:
+            versions = objects.get(obj)
+            if versions is None:
+                initial = [0]
+                versions = objects[obj] = ({"0": initial}, [T0], [initial])
+            if kind == READ:
+                # the value's version is committed, and it is the newest
+                # committed below tx; a value with no version is not one
+                by_value, writers, by_writer = versions
+                read = by_value.get(value)
+                if by_writer[bisect(writers, tx) - 1] is not read:
+                    return None
+                if read[0] < tx:
+                    read[0] = tx
+            else:
+                staged.setdefault(tx, {})[obj] = value
+        elif kind != BEGIN:
+            if done < tx:
+                done = tx
+            writes = staged.pop(tx, None)
+            if kind == COMMIT and writes:
+                for obj, value in writes.items():
+                    by_value, writers, by_writer = objects[obj]
+                    at = bisect(writers, tx)
+                    # a duplicate value, or a reader above tx that read the
+                    # version of tx's predecessor
+                    if value in by_value or by_writer[at - 1][0] > tx:
+                        return None
+                    by_value[value] = version = [0]
+                    writers.insert(at, tx)
+                    by_writer.insert(at, version)
+    live = sum(group[-1][0] not in TERMINALS for group in groups.values())
+    witness = _regrouped(groups)
+    if len(witness) != lines + live:
+        raise InvariantViolation("emitted serialization lost or changed events")
+    order = {obj: tuple(versions[1]) for obj, versions in objects.items()}
+    return order, ("\n".join(witness) + "\n" if witness else "")
+
+
+def _regrouped(groups: dict[int, list[str]]) -> list[str]:
+    """Each transaction's lines in ascending id, with "a <id>" after the
+    lines of each one that has not terminated."""
+    out: list[str] = []
+    for tx in sorted(groups):
+        group = groups[tx]
+        out += group
+        if group[-1][0] not in TERMINALS:
+            out.append(f"{ABORT} {tx}")
+    return out
+
+
 def _closure(size: int, pairs) -> list[int]:
     """Per vertex index, the bit set of the vertices it reaches over
     pairs, each of which must run from a lower index to a higher one,
@@ -569,15 +688,15 @@ def _first_acyclic(analysis: _Analysis) -> tuple[VersionOrder, int] | None:
     depend only on its own permutation and are added to the prefix's
     closure when the walk chooses it, so memory stays that of one path.
     Edges only accumulate along a prefix, so a prefix whose edges close
-    a cycle is skipped with every completion.
+    a cycle is skipped with every completion. The walk permutes vertex
+    indices, so an order's constraints come out as index pairs.
     """
     objs = sorted(analysis.writes)
-    writers = [sorted(analysis.writes[obj]) for obj in objs]
     last = analysis.last_event
-    index = {v: i for i, v in enumerate(sorted(last, key=last.__getitem__))}
-    reads_of: dict[str, list] = defaultdict(list)
-    for read in analysis.reads:
-        reads_of[read[1]].append(read)
+    vertex = sorted(last, key=last.__getitem__)
+    index = {v: i for i, v in enumerate(vertex)}
+    writers = [[index[w] for w in sorted(analysis.writes[obj])] for obj in objs]
+    reads = [[(index[k], index[j]) for k, j in analysis.reads.get(obj, ())] for obj in objs]
     root = _closure(
         len(index), [(index[u], index[v]) for u, v, _ in analysis.static_edges]
     )
@@ -591,15 +710,14 @@ def _first_acyclic(analysis: _Analysis) -> tuple[VersionOrder, int] | None:
             stack.pop()
             continue
         d = len(prefix)
-        positions = {objs[d]: {w: p for p, w in enumerate(perm)}}
-        mv = _mv_edges(reads_of[objs[d]], analysis.writes, positions)
-        extended = _extended(reach, [(index[u], index[v]) for u, v, _ in mv])
+        extended = _extended(reach, _mv_pairs(reads[d], perm))
         if extended is None:
             continue
         chosen = prefix + (perm,)
         ranked = rank * math.factorial(len(perm)) + i
         if d + 1 == len(objs):
-            return dict(zip(objs, chosen)), ranked + 1
+            order = {obj: tuple(vertex[w] for w in seq) for obj, seq in zip(objs, chosen)}
+            return order, ranked + 1
         deeper = enumerate(itertools.permutations(writers[d + 1]))
         stack.append((extended, chosen, ranked, deeper))
     return None

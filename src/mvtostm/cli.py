@@ -72,23 +72,30 @@ def opacity_check_main(argv: list[str] | None = None) -> int:
     text = _read_file(args.file)
     if text is None:
         return EXIT_UNDECIDED
-    try:
-        history = parse(text)
-    except HistoryFormatError as exc:
-        return _fail(str(exc))
-    try:
-        if args.order == "ts":
-            verdict = checker.check_with_order(history)
-        else:
-            verdict = checker.check_auto(history, args.budget)
-    except ValueError as exc:  # non-unique written values
-        return _fail(str(exc))
+    # both strategies try the timestamp order first, and the text alone
+    # often certifies it; events are built and checked only when it does not
+    certified = checker.certify_text(text)
+    if certified is not None:
+        verdict = checker.Verdict("opaque", order=certified[0], orders_tested=1)
+    else:
+        try:
+            history = parse(text)
+        except HistoryFormatError as exc:
+            return _fail(str(exc))
+        try:
+            if args.order == "ts":
+                verdict = checker.check_with_order(history)
+            else:
+                verdict = checker.check_auto(history, args.budget)
+        except ValueError as exc:  # non-unique written values
+            return _fail(str(exc))
     print(verdict.summary())
     if verdict.opaque and args.emit_witness:
         for obj in sorted(verdict.order):
             chain = " ".join(str(w) for w in verdict.order[obj])
             print(f"# order {obj}: {chain}")
-        sys.stdout.write(verdict.serialization.serialize())
+        witness = certified[1] if certified else verdict.serialization.serialize()
+        sys.stdout.write(witness)
     if verdict.status == "opaque":
         return EXIT_OPAQUE
     if verdict.status in ("not_opaque", "invalid"):

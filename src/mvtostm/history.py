@@ -14,8 +14,8 @@ as an event. Objects are free-form tokens (typically "x1".."xn" or bare
 integers). Within one transaction all reads precede all writes, a begin
 (if present) comes first, and nothing follows the single terminal event.
 In the text, ids are ASCII digits and values ASCII digits with an
-optional leading "-", the spelling serialize writes; a "#" starts a
-comment.
+optional leading "-", with no leading zero and no "-0": the spelling
+serialize writes. A "#" starts a comment.
 
 An Event is an immutable named tuple of its four fields, so it costs
 about what a tuple costs to build, compare and hash; its position is its
@@ -26,6 +26,7 @@ pass over the text.
 
 from __future__ import annotations
 
+import re
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -144,10 +145,20 @@ class History:
         return "\n".join(map(Event.line, self.events)) + "\n"
 
 
+# A line exactly as Event.line writes it, under parse's integer rule: the
+# whole line, then a read's or write's kind, id, object and value, then a
+# b, c or a line's kind and id. An object holds no whitespace and no "#".
+CANONICAL_LINES = re.compile(
+    r"^(([rw]) ([1-9][0-9]*) ([^\s#]+) (0|-?[1-9][0-9]*)|([bca]) ([1-9][0-9]*))$",
+    re.MULTILINE,
+)
+
+
 def _signed(token: str) -> int | None:
-    """The integer an optional "-" and ASCII digits spell, or None."""
+    """The integer token spells the way str writes it, or None: ASCII
+    digits with no leading zero, after a "-" unless the integer is 0."""
     digits = token[1:] if token[:1] == "-" else token
-    if digits.isdigit() and digits.isascii():
+    if digits.isdigit() and digits.isascii() and (digits[0] != "0" or token == "0"):
         return int(token)
     return None
 
@@ -158,8 +169,8 @@ def parse(text: str) -> History:
     Rejects malformed lines and histories that are not well formed,
     always naming the offending line. A line that does not parse is
     reported before any shape violation, wherever each lies. Ids and
-    values are ASCII digits, a value with an optional leading "-": the
-    spelling serialize writes.
+    values are ASCII digits with no leading zero, a value with an
+    optional leading "-" and never "-0": the spelling serialize writes.
     """
     events: list[Event] = []
     append = events.append
@@ -180,14 +191,21 @@ def parse(text: str) -> History:
                 line_no, f"expected {want} fields for {kind!r}, got {len(tokens)}"
             )
         token = tokens[1]
-        tx = int(token) if token.isdigit() and token.isascii() else _signed(token)
+        # the common spelling takes a shortcut; _signed holds the rule
+        if token.isdigit() and token.isascii() and token[0] != "0":
+            tx = int(token)
+        else:
+            tx = _signed(token)
         if tx is None:
             raise HistoryFormatError(line_no, f"bad transaction id {token!r}")
         if tx < 1:
             raise HistoryFormatError(line_no, f"transaction id must be positive, got {tx}")
         if want == 4:
             obj, token = tokens[2], tokens[3]
-            value = int(token) if token.isdigit() and token.isascii() else _signed(token)
+            if token.isdigit() and token.isascii() and token[0] != "0":
+                value = int(token)
+            else:
+                value = _signed(token)
             if value is None:
                 raise HistoryFormatError(line_no, f"bad value {token!r}")
         else:

@@ -342,8 +342,9 @@ def reference_parse(text: str) -> History:
     """The parser as it was before events became named tuples: every line
     checked on its own, the shape walked afterwards by
     well_formedness_violation. It takes integers with int(token, 10), so
-    it also accepts "1_0", "+5" and non-ASCII digits, which parse now
-    rejects; a differential test must keep such tokens out of its texts.
+    it also accepts "1_0", "+5", non-ASCII digits, leading zeros and
+    "-0", which parse now rejects; a differential test must keep such
+    tokens out of its texts.
     """
     events: list[Event] = []
     lines: list[int] = []
@@ -611,6 +612,28 @@ def check_with_graph(history: History, order) -> Verdict:
     analysis = checker._Analysis(history)
     analysis.validate_order(order)
     return checker._graph_verdict(analysis, order)
+
+
+def reference_mv_edges(reads, writers_by_obj, positions) -> set[tuple[int, int, str]]:
+    """The labelled mv rule as the checker had it before one rule served
+    both the graph and the search: (k, obj, j) reads, writers by object
+    and positions by object.
+
+    For read (k, obj, j) and any other committed writer i of obj: if i's
+    version is ordered before j's, i must serialize before j; otherwise
+    the reader k must serialize before i.
+    """
+    edges: set[tuple[int, int, str]] = set()
+    for k, obj, j in reads:
+        pos = positions[obj]
+        for i in writers_by_obj[obj]:
+            if i == j or i == k:
+                continue
+            if pos[i] < pos[j]:
+                edges.add((i, j, checker.MV))
+            else:
+                edges.add((k, i, checker.MV))
+    return edges
 
 
 def brute_force_reference(history: History, budget: int) -> Verdict:

@@ -10,6 +10,7 @@ from mvtostm import checker
 from mvtostm.checker import (
     OpacityGraph,
     build_graph,
+    certify_text,
     check_auto,
     check_brute_force,
     check_with_order,
@@ -828,3 +829,151 @@ class TestAscendingShortcut:
         assert v == support.check_with_graph(h, order)
         assert v.status == "not_opaque"
         assert v.cycle == [1, 3]
+
+
+class TestMvRule:
+    def test_graph_edges_match_the_labelled_reference(self):
+        # one mv rule serves the graph and the search; it must give the
+        # edges of the labelled set it replaced, under any version order
+        for seed in range(200):
+            h = support.random_concurrent_history(seed)
+            analysis = checker._Analysis(h)
+            reads = [
+                (k, obj, j) for obj, pairs in analysis.reads.items() for k, j in pairs
+            ]
+            for order in (timestamp_order(h), _random_order(seed, h)):
+                positions = {
+                    obj: {w: p for p, w in enumerate(seq)} for obj, seq in order.items()
+                }
+                want = support.reference_mv_edges(reads, analysis.writes, positions)
+                assert build_graph(h, order).labeled(checker.MV) == {
+                    (u, v) for u, v, _ in want
+                }, seed
+
+
+def _ts_outcome(text: str):
+    """What parse and check_with_order make of text: the order, witness
+    text and orders tried of an opaque verdict, else its status or the
+    name of the error raised."""
+    try:
+        v = check_with_order(parse(text))
+    except ValueError as exc:
+        return type(exc).__name__
+    if not v.opaque:
+        return v.status
+    return v.order, v.serialization.serialize(), v.orders_tested
+
+
+# One input per rule of certify_text. Each breaks that rule alone, so
+# the certifier declines only because of it; the parse path then gives
+# a different answer than certifying would.
+DECLINED = {
+    # shape
+    "event after terminal": "b 1\nc 1\nr 1 x 0\n",
+    "begin not first": "r 1 x 0\nb 1\nc 1\n",
+    "read after write": "b 1\nw 1 x 5\nr 1 x 0\nc 1\n",
+    # valid reads
+    "value never committed": "b 1\nr 1 x 5\nc 1\n",
+    "value of an aborted writer": "b 1\nw 1 x 5\na 1\nb 2\nr 2 x 5\nc 2\n",
+    "value committed after the read": "b 1\nw 1 x 5\nb 2\nr 2 x 5\nc 1\nc 2\n",
+    "duplicate value, read": "w 1 x 5\nc 1\nw 2 x 5\nc 2\nr 3 x 5\nc 3\n",
+    "value T0 wrote, read": "w 1 x 0\nc 1\nr 2 x 0\nc 2\n",
+    # legality under ascending order, at a read
+    "stale read": "w 1 x 5\nc 1\nw 2 x 6\nc 2\nr 3 x 5\nc 3\n",
+    "read of a larger id's value": "b 1\nw 2 x 5\nc 2\nr 1 x 5\nc 1\n",
+    # legality under ascending order, at a commit
+    "reader above read the predecessor": "b 2\nr 3 x 0\nw 2 x 5\nc 2\nc 3\n",
+    # real time
+    "larger id terminated first": "b 2\nc 2\nb 1\nc 1\n",
+}
+
+
+class TestCertifyText:
+    """certify_text answers only where parse and check_with_order call
+    the history opaque under the timestamp order after one order, with
+    the same witness text, and it declines wherever one of its rules
+    breaks."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            support.REFERENCE_REPLAYED,
+            # a live transaction's abort is appended to its own lines
+            "b 1\nr 1 x 0\nb 2\nw 2 x 5\nc 2\nw 1 y 3\n",
+            # objects that only aborted writers or readers touch
+            "b 1\nw 1 x 5\na 1\nb 2\nr 2 y 0\nc 2\n",
+            # the last write of a transaction is its version
+            "w 1 x 5\nw 1 x 6\nc 1\nr 2 x 6\nc 2\n",
+            # an aborted reader reads the newest version below it
+            "b 1\nb 2\nr 2 x 0\nw 1 y 5\nc 1\nr 2 y 5\na 2\n",
+            # the last line needs no newline
+            "b 1\nw 1 x -5\nc 1\nr 2 x -5",
+            "",
+        ],
+    )
+    def test_certified_as_parse_and_check(self, text):
+        order, witness = certify_text(text)
+        assert _ts_outcome(text) == (order, witness, 1)
+
+    def test_mvto_histories_are_certified(self):
+        for seed in range(40):
+            text = replay(support.random_replay_script(seed)).serialize()
+            got = certify_text(text)
+            assert got is not None, seed
+            assert _ts_outcome(text) == (*got, 1)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "r 1  x 0",  # doubled space
+            "r 1\tx 0",
+            " r 1 x 0",
+            "r 1 x 0 ",
+            "r 1 x 0\r",
+            "r 01 x 0",
+            "r 1 x 00",
+            "r 1 x -0",
+            "r 1 x 0 # comment",
+            "r 1 x#1 0",
+            "R 1 x 0",
+            "r 1 x",
+            "r 0 x 0",
+        ],
+    )
+    def test_declines_other_spellings(self, line):
+        text = f"b 1\n{line}\nc 1\n"
+        assert certify_text(text) is None
+
+    @pytest.mark.parametrize("text", ["b 1\n\nc 1\n", "# comment\nb 1\nc 1\n"])
+    def test_declines_blank_and_comment_lines(self, text):
+        assert certify_text(text) is None
+        assert certify_text(text.replace("\n\n", "\n").replace("# comment\n", ""))
+
+    @pytest.mark.parametrize("rule", sorted(DECLINED))
+    def test_declines_on_each_rule(self, rule):
+        text = DECLINED[rule]
+        assert certify_text(text) is None
+        # and the parse path does not certify the ascending serialization
+        outcome = _ts_outcome(text)
+        if isinstance(outcome, tuple):
+            txs = [int(line.split()[1]) for line in outcome[1].splitlines()]
+            assert txs != sorted(txs), rule
+
+    def test_declines_an_unread_duplicate_value(self):
+        # unread, it breaks no check of the parse path; one rule for
+        # duplicates keeps the pass simple
+        text = "w 1 x 5\nc 1\nw 2 x 5\nc 2\n"
+        assert certify_text(text) is None
+        assert _ts_outcome(text)[2] == 1
+
+    @pytest.mark.parametrize("fault", ["drop", "repeat"])
+    def test_a_line_count_mismatch_raises(self, fault, monkeypatch):
+        regrouped = checker._regrouped
+
+        def faulty(groups):
+            out = regrouped(groups)
+            return out[:-1] if fault == "drop" else out + out[-1:]
+
+        monkeypatch.setattr(checker, "_regrouped", faulty)
+        with pytest.raises(InvariantViolation, match="lost or changed events"):
+            certify_text(support.REFERENCE_REPLAYED)

@@ -1,17 +1,23 @@
+import contextlib
+import io
 import os
+import random
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mvtostm
-from mvtostm import cli, harness
+from mvtostm import checker, cli, harness
 from mvtostm.cli import opacity_check_main, replay_main, stress_main
 from mvtostm.errors import InvariantViolation
 from mvtostm.history import parse
-from tests import support
+from tests import golden, support
 
 
 @pytest.fixture()
@@ -120,6 +126,159 @@ class TestOpacityCheck:
         p.write_text("w 1 x 7\nc 1\nw 2 x 7\nc 2\nr 3 x 7\n")
         assert opacity_check_main([str(p)]) == 2
         assert "unique" in capsys.readouterr().err
+
+
+FLAG_SETS = ([], ["--emit-witness"], ["--order", "ts"], ["--order", "ts", "--emit-witness"])
+
+
+def _call(path: Path) -> list[tuple[int, str, str]]:
+    """Exit status, stdout and stderr of opacity-check on path, once per
+    flag set."""
+    outcomes = []
+    for flags in FLAG_SETS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = opacity_check_main([str(path), *flags])
+        outcomes.append((rc, out.getvalue(), err.getvalue()))
+    return outcomes
+
+
+def _same_without_certifier(path: Path, text: str) -> bool:
+    """Assert that opacity-check answers alike as shipped and with
+    certify_text declining every text; True when it certified text."""
+    path.write_text(text, encoding="utf-8")
+    shipped = _call(path)
+    with mock.patch.object(checker, "certify_text", return_value=None):
+        assert _call(path) == shipped, text
+    return checker.certify_text(text) is not None
+
+
+def _mutated(lines: list[str], how: str, pick: int) -> list[str]:
+    """lines with one change of the kind how, placed by pick."""
+    lines = list(lines)
+    rng = random.Random(pick)
+    at = rng.randrange(len(lines) + 1)
+    # the event lines, as tokens, by position
+    events = {
+        i: t for i, t in enumerate(line.split() for line in lines)
+        if len(t) in (2, 4) and t[1].isdigit()
+    }
+    fresh = max((int(t[1]) for t in events.values()), default=0) + 1
+    committed = {t[1] for t in events.values() if t[0] == "c"}
+    writes = [t for t in events.values() if t[0] == "w"]
+    if how == "empty":
+        return []
+    if how == "comment":
+        if lines and rng.random() < 0.5:
+            lines[at % len(lines)] += "  # note"
+        else:
+            lines.insert(at, "# note")
+    elif how == "blank":
+        lines.insert(at, rng.choice(["", "   ", "\t"]))
+    elif how == "spacing" and lines:
+        i = at % len(lines)
+        lines[i] = lines[i].replace(" ", rng.choice(["\t", "  "]), 1)
+    elif how == "crlf":
+        lines = [line + "\r" for line in lines]
+    elif how == "leading_zero" and events:
+        i = rng.choice(sorted(events))
+        t = list(events[i])
+        slot = rng.choice([1, 3]) if len(t) == 4 else 1
+        t[slot] = "-0" if t[slot] == "0" else "0" + t[slot]
+        lines[i] = " ".join(t)
+    elif how == "stale_read":
+        reads = [i for i, t in events.items() if t[0] == "r"]
+        if reads:
+            i = rng.choice(reads)
+            obj = events[i][2]
+            values = ["0"] + [w[3] for w in writes if w[2] == obj and w[1] in committed]
+            lines[i] = " ".join(events[i][:3] + [rng.choice(values)])
+    elif how == "uncommitted_read" and writes:
+        # a new transaction reads the value just before its writer ends
+        w = rng.choice(writes)
+        ends = [i for i, t in events.items() if t[1] == w[1] and t[0] in "ca"]
+        end = ends[0] if ends else len(lines)
+        lines[end:end] = [f"b {fresh}", f"r {fresh} {w[2]} {w[3]}", f"c {fresh}"]
+    elif how == "duplicate_value" and writes:
+        w = rng.choice(writes)
+        lines += [f"b {fresh}", f"w {fresh} {w[2]} {w[3]}", f"c {fresh}"]
+        if rng.random() < 0.5:
+            lines += [f"b {fresh + 1}", f"r {fresh + 1} {w[2]} {w[3]}", f"c {fresh + 1}"]
+    elif how == "late_small_id":
+        # a larger id terminates before every other transaction begins
+        lines = [f"b {fresh}", f"c {fresh}"] + lines
+    elif how == "live":
+        ends = [i for i, t in events.items() if t[0] in "ca"]
+        if ends:
+            del lines[rng.choice(ends)]
+    return lines
+
+
+MUTATIONS = (
+    "comment",
+    "blank",
+    "spacing",
+    "crlf",
+    "leading_zero",
+    "stale_read",
+    "uncommitted_read",
+    "duplicate_value",
+    "late_small_id",
+    "live",
+    "empty",
+)
+
+
+class TestCertifiedPath:
+    """opacity-check certifies the timestamp order from the text when it
+    can. Its stdout, stderr and exit status must be those of parsing and
+    checking, which run when certify_text declines."""
+
+    def test_golden_inputs(self, tmp_path):
+        texts = [getattr(support, name) for name in (
+            "REFERENCE_TEXT",
+            "REFERENCE_REPLAYED",
+            "WRITE_SKEW_TEXT",
+            "ABORTED_READER_TEXT",
+            "CYCLIC_FIRST_PREFIX_TEXT",
+        )]
+        texts.extend(h.serialize() for _name, h in golden.inputs())
+        path = tmp_path / "h.hist"
+        certified = sum(_same_without_certifier(path, text) for text in texts)
+        # both paths run
+        assert 200 < certified < len(texts) - 200, certified
+
+    def test_engine_histories(self, tmp_path):
+        path = tmp_path / "h.hist"
+        for seed in range(4):
+            for threads, gc in ((1, None), (2, 1), (3, 2)):
+                cfg = harness.WorkloadConfig(
+                    threads=threads, txs_per_thread=40, object_count=3,
+                    gc_threshold=gc, seed=seed,
+                )
+                history = harness.run(cfg).history
+                assert _same_without_certifier(path, history.serialize())
+
+    @settings(max_examples=300)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        replayed=st.booleans(),
+        changes=st.lists(
+            st.tuples(st.sampled_from(MUTATIONS), st.integers(min_value=0, max_value=10_000)),
+            max_size=3,
+        ),
+    )
+    def test_mutated_texts(self, seed, replayed, changes):
+        if replayed:
+            h = harness.replay(support.random_replay_script(seed))
+        else:
+            h = support.random_concurrent_history(seed)
+        lines = h.serialize().splitlines()
+        for how, pick in changes:
+            lines = _mutated(lines, how, pick)
+        text = "".join(line + "\n" for line in lines)
+        with tempfile.TemporaryDirectory() as tmp:
+            _same_without_certifier(Path(tmp) / "h.hist", text)
 
 
 class TestStress:

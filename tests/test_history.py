@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from mvtostm.errors import HistoryFormatError
 from mvtostm.history import (
+    CANONICAL_LINES,
     Event,
     History,
     Recorder,
@@ -126,6 +127,13 @@ class TestParse:
             ("w 1 x -+5\n", "bad value '-+5'"),
             ("w 1 x -\n", "bad value '-'"),
             ("w 1 x \uff15\n", "bad value '\uff15'"),
+            # each spelling names transaction 7, value 7 or value 0 to
+            # int(), but serialize writes it otherwise
+            ("b 007\n", "bad transaction id '007'"),
+            ("w 1 x 007\n", "bad value '007'"),
+            ("w 1 x -0\n", "bad value '-0'"),
+            ("w 1 x -007\n", "bad value '-007'"),
+            ("b 00\n", "bad transaction id '00'"),
         ],
     )
     def test_integers_are_ascii_digits(self, text, message):
@@ -133,6 +141,21 @@ class TestParse:
             parse("b 3\nc 3\n" + text)
         assert err.value.line_no == 3
         assert str(err.value) == f"line 3: {message}"
+
+    @pytest.mark.parametrize(
+        "token", ["0", "7", "10", "-7", "-0", "00", "07", "-07", " 7", "+7", "1_0", "\u0667"]
+    )
+    def test_canonical_lines_share_the_integer_rule(self, token):
+        # a line is canonical iff parse takes its integers and writes the
+        # line back unchanged
+        for line in (f"b {token}", f"w 3 x {token}"):
+            try:
+                event = parse(line + "\n").events[0]
+            except HistoryFormatError:
+                round_trips = False
+            else:
+                round_trips = event.line() == line
+            assert bool(CANONICAL_LINES.fullmatch(line)) == round_trips, line
 
     def test_a_bad_line_outranks_an_earlier_shape_violation(self):
         # every line is read before the shape is judged
