@@ -41,13 +41,29 @@ transaction began. Its witness is the input's own lines regrouped by
 id. opacity-check builds events and calls check_with_order or
 check_auto only when it declines.
 
-When the timestamp order fails, check_auto searches the other version
-orders in product order: objects sorted, each object's writers through
-their permutations in lexicographic order, ascending first. The first
-acyclic order wins, and its rank in that order is the count of orders
-tried; when none is acyclic, every order counts. The walk skips each
-completion of a prefix whose edges already close a cycle, so verdict,
-order and count are those of building one graph per order.
+check_auto first asks a gate whether the ascending serialization would
+pass: every read returns the newest committed writer below its reader,
+and no larger id terminated before a transaction's first event. The
+gate is exact, reads only the history as given, and costs one pass
+over the events and one dictionary lookup per read. When it passes,
+the timestamp order is decided as check_with_order decides it, and
+nothing else is built: MVTO histories take this path.
+
+Otherwise one walk decides the timestamp order and every other version
+order, in product order: objects sorted, each object's writers through
+their permutations in lexicographic order, ascending first, so the
+timestamp order is the first leaf. The rt, rf and T0 edges become
+per-vertex bit sets in one sweep of the events; each object's mv edges
+join the closure of the prefix when the walk picks its permutation,
+and a prefix whose edges close a cycle is skipped with every
+completion. The walk tries only the permutations that put T0 first,
+which are the first (k-1)! of an object's k!, and only the ascending
+one of an object nobody reads; the first acyclic order in product order
+is always among them. The first acyclic order wins, and its rank in
+product order is the count of orders tried; when none is acyclic, every
+order counts, and the verdict's cycle is the one the timestamp order's
+graph yields. Verdict, order, count and cycle are those of building one
+graph per order, but only the order found gets a graph, and a witness.
 """
 
 from __future__ import annotations
@@ -60,6 +76,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import InvariantViolation, UsageError
 from .history import (
@@ -115,16 +132,11 @@ def _writer_index(writes) -> dict[str, dict[int, list[int]]]:
     return index
 
 
-def _resolve_writer(index, obj, value) -> int | None:
-    candidates = index[obj].get(value)
-    if candidates is None:
-        return None
-    if len(candidates) > 1:
-        raise ValueError(
-            f"value {value} on object {obj} was committed by transactions "
-            f"{sorted(candidates)}; per-object written values must be unique"
-        )
-    return candidates[0]
+def _ambiguous(obj, value, writers) -> ValueError:
+    return ValueError(
+        f"value {value} on object {obj} was committed by transactions "
+        f"{sorted(writers)}; per-object written values must be unique"
+    )
 
 
 def invalid_read(history: History) -> Event | None:
@@ -260,6 +272,14 @@ def _mv_pairs(reads, seq) -> list[tuple[int, int]]:
     return pairs
 
 
+class _Projection(NamedTuple):
+    invalid: Event | None  # the first invalid read
+    reads: dict[str, list[tuple[int, int]]]  # per object, (reader, writer)
+    ambiguous: ValueError | None  # what reading reads raises
+    vertices: frozenset[int]  # T0 and every transaction
+    in_time: bool  # no larger id terminated before a transaction began
+
+
 class _Analysis:
     """One projection of a history, shared by every version order a
     check tries.
@@ -274,42 +294,72 @@ class _Analysis:
         self.history = history
         self.writes = committed_writes(history)
         self._index = _writer_index(self.writes)
-        self.vertices = frozenset(history.txns() | {T0})
 
     @cached_property
     def completed(self) -> History:
         return self.history.complete()
 
     @cached_property
+    def _projection(self) -> _Projection:
+        """The reads projected in one pass that resolves each read once.
+
+        A read is invalid when no transaction committed its value before
+        it, T0 writing 0. An ambiguous value raises at once before the
+        first invalid read; after it, only reading reads raises.
+        """
+        index = self._index
+        reads: dict[str, list[tuple[int, int]]] = defaultdict(list)
+        invalid = ambiguous = None
+        committed = {T0}
+        seen = {T0}
+        top = T0  # the largest id terminated so far
+        in_time = True
+        for e in self.history.events:
+            kind, tx, obj, value = e
+            if tx not in seen:
+                seen.add(tx)
+                if top > tx:
+                    in_time = False
+            if kind == READ:
+                writers = index[obj].get(value)
+                if writers is None:
+                    writer = None
+                elif len(writers) == 1:
+                    writer = writers[0]
+                    reads[obj].append((tx, writer))
+                elif invalid is None:
+                    raise _ambiguous(obj, value, writers)
+                else:
+                    ambiguous = ambiguous or _ambiguous(obj, value, writers)
+                    continue
+                if invalid is None and writer not in committed:
+                    invalid = e
+            elif kind in TERMINALS:
+                if kind == COMMIT:
+                    committed.add(tx)
+                if tx > top:
+                    top = tx
+        return _Projection(invalid, reads, ambiguous, frozenset(seen), in_time)
+
+    @property
     def invalid(self) -> Event | None:
         """First read with no committed-before writer of its value, or None;
         an ambiguous value read after it raises nothing."""
-        events = self.history.events
-        commit_pos = {e.tx: i for i, e in enumerate(events) if e.kind == COMMIT}
-        for i, e in enumerate(events):
-            if e.kind != READ:
-                continue
-            writer = _resolve_writer(self._index, e.obj, e.value)
-            if writer is None or (writer != T0 and commit_pos[writer] > i):
-                return e
-        return None
+        return self._projection.invalid
 
-    @cached_property
-    def last_event(self) -> dict[int, int]:
-        """Index of each vertex's last event in the history; T0's is -1."""
-        return {T0: -1} | {e.tx: i for i, e in enumerate(self.history.events)}
-
-    @cached_property
+    @property
     def reads(self) -> dict[str, list[tuple[int, int]]]:
         """Per object, (reader, writer) for every read with a committed
         writer."""
-        reads: dict[str, list[tuple[int, int]]] = defaultdict(list)
-        for e in self.history.events:
-            if e.kind == READ:
-                writer = _resolve_writer(self._index, e.obj, e.value)
-                if writer is not None:
-                    reads[e.obj].append((e.tx, writer))
-        return reads
+        projection = self._projection
+        if projection.ambiguous is not None:
+            raise projection.ambiguous
+        return projection.reads
+
+    @property
+    def vertices(self) -> frozenset[int]:
+        """T0 and every transaction of the history."""
+        return self._projection.vertices
 
     @cached_property
     def static_edges(self) -> frozenset[tuple[int, int, str]]:
@@ -326,6 +376,87 @@ class _Analysis:
                 if j != k:
                     static.add((j, k, RF))
         return frozenset(static)
+
+    def ascending_certifies(self, ascending: VersionOrder) -> bool:
+        """Whether the ascending serialization passes the witness checks,
+        decided without building it; ascending is the timestamp order.
+
+        That serialization is T0, then every transaction by id. Its read
+        by k returns the value of the newest committed writer below k, so
+        it is legal iff every read's writer j is that one: j is below k,
+        and the next writer above j is not. It keeps real time iff no
+        larger id terminated before a transaction's first event, which
+        the projection pass records. Both read only the history as given.
+        """
+        if not self._projection.in_time:
+            return False
+        for obj, reads in self.reads.items():
+            seq = ascending[obj]
+            following = dict(zip(seq, seq[1:]))
+            for k, j in reads:
+                if not j < k <= following.get(j, k):
+                    return False
+        return True
+
+    @cached_property
+    def static_masks(self) -> tuple[list[int], dict[int, int], list[int], list[int]]:
+        """The rt, rf and T0 edges as bit sets over vertex indices: the
+        vertices by index, the index of each, and per index its rt and T0
+        predecessors and its rf ones.
+
+        One sweep of the history as given indexes T0 first, then each
+        transaction at its terminal event, then the live ones, which
+        precede nothing. A transaction's rt predecessors are T0 and the
+        transactions terminated before its first event. That needs each
+        terminal to be its transaction's last event, so an event after
+        one is a UsageError. Then each of those edges, and each rf edge
+        from a writer that committed before the read, runs from a lower
+        index to a higher one. The rt set is also closed: whatever
+        reaches a terminated transaction terminated before it.
+        """
+        index = {T0: 0}
+        first_rt: dict[int, int] = {}
+        done = 1  # bits of T0 and of every transaction terminated so far
+        for kind, tx, _, _ in self.history.events:
+            if tx not in first_rt:
+                first_rt[tx] = done
+            elif tx in index:
+                raise UsageError(
+                    f"event after terminal of transaction {tx}: the search "
+                    "is defined only for well-formed histories"
+                )
+            if kind in TERMINALS:
+                done |= 1 << index.setdefault(tx, len(index))
+        for tx in first_rt:
+            index.setdefault(tx, len(index))
+        vertex = list(index)
+        rt = [first_rt.get(v, 0) for v in vertex]
+        rf = [0] * len(vertex)
+        for reads in self.reads.values():
+            for k, j in reads:
+                if j != k:
+                    rf[index[k]] |= 1 << index[j]
+        return vertex, index, rt, rf
+
+    @cached_property
+    def choices(self) -> list:
+        """Per object, sorted, the permutations the search tries, by
+        vertex index, each with its rank and its mv pairs.
+
+        Each is a tee, which keeps what it produced: every copy replays
+        the object's permutations and each one's pairs are built once.
+        """
+        _, index, _, _ = self.static_masks
+        return [
+            itertools.tee(
+                _choices(
+                    [index[w] for w in sorted(self.writes[obj])],
+                    [(index[k], index[j]) for k, j in self.reads.get(obj, ())],
+                ),
+                1,
+            )[0]
+            for obj in sorted(self.writes)
+        ]
 
     def validate_order(self, order: VersionOrder) -> None:
         want = {obj: set(ws) for obj, ws in self.writes.items()}
@@ -645,120 +776,195 @@ def _regrouped(groups: dict[int, list[str]]) -> list[str]:
     return out
 
 
-def _closure(size: int, pairs) -> list[int]:
-    """Per vertex index, the bit set of the vertices it reaches over
-    pairs, each of which must run from a lower index to a higher one,
-    in one sweep from the highest source down."""
-    reach = [0] * size
-    for u, v in sorted(pairs, reverse=True):
-        if u >= v:
-            raise InvariantViolation("the rt, rf and T0 edges close a cycle")
-        reach[u] |= reach[v] | 1 << v
-    return reach
+def _bits(mask: int):
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _extended(reach: list[int], pairs) -> list[int] | None:
-    """A copy of the closure reach with pairs added, or None when one of
-    them closes a cycle."""
-    reach = reach.copy()
-    for u, v in pairs:
-        if reach[v] >> u & 1:
-            return None
-        gain = reach[v] | 1 << v
-        if reach[u] & gain == gain:
-            continue
-        bit = 1 << u
-        for w, r in enumerate(reach):
-            if w == u or r & bit:
-                reach[w] = r | gain
-    return reach
+def _closure(rt: list[int], rf: list[int]) -> list[int]:
+    """Per vertex index, the bit set of the vertices that reach it over
+    the rt, rf and T0 edges of _Analysis.static_masks, in one sweep up
+    the indices.
 
-
-def _first_acyclic(analysis: _Analysis) -> tuple[VersionOrder, int] | None:
-    """The first version order, in product order, whose graph is acyclic,
-    with its rank in that order counted from 1; or None.
-
-    The walk goes object by object. The rt, rf and T0 edges are the same
-    under every order, so their reachability closure is built once, in
-    one sweep over the vertices indexed T0 first, then by last event.
-    Each such edge runs forward in that order, as it ends at a
-    transaction whose last event comes later (an rf writer committed
-    before the read, since invalid reads never reach the search); one
-    that does not is an InvariantViolation. An object's mv edges
-    depend only on its own permutation and are added to the prefix's
-    closure when the walk chooses it, so memory stays that of one path.
-    Edges only accumulate along a prefix, so a prefix whose edges close
-    a cycle is skipped with every completion. The walk permutes vertex
-    indices, so an order's constraints come out as index pairs.
+    Each edge must run from a lower index to a higher one; one that does
+    not is an InvariantViolation. The rt sets are closed already, so a
+    vertex adds only what reaches the writers it read.
     """
+    above: list[int] = []
+    for v, (before, read) in enumerate(zip(rt, rf)):
+        if (before | read) >> v:
+            raise InvariantViolation("the rt, rf and T0 edges close a cycle")
+        for j in _bits(read):
+            before |= above[j] | 1 << j
+        above.append(before)
+    return above
+
+
+def _extended(above: list[int], pairs) -> list[int] | None:
+    """A copy of the closure above with pairs added, or None when one of
+    them closes a cycle."""
+    above = above.copy()
+    for u, v in pairs:
+        if above[u] >> v & 1:
+            return None
+        gain = above[u] | 1 << u
+        if above[v] & gain == gain:
+            continue
+        bit = 1 << v
+        for w, a in enumerate(above):
+            if w == v or a & bit:
+                above[w] = a | gain
+    return above
+
+
+def _choices(writers: list[int], reads: list[tuple[int, int]]):
+    """An object's version orders the search tries: (rank, permutation,
+    mv pairs) for each permutation of writers, ascending, that puts T0
+    first, by rank; only the first when no one reads the object.
+
+    With T0 = writers[0] first, these are exactly the first (k-1)! of
+    the k! permutations, so each keeps its rank among all of them. The
+    others never come first in product order: in an acyclic order with
+    a writer w ahead of T0 on an object, no read of the object returns a
+    version ordered before T0, and only w can read T0's version, or T0's
+    rt edge to w closes a cycle. Moving T0 to the front then adds only
+    edges out of T0 and drops the rest, so the graph stays acyclic and
+    the order ranks lower. With no reads, every permutation adds the
+    same nothing, and the first ranks lowest.
+    """
+    head, *rest = writers
+    for i, tail in enumerate(itertools.permutations(rest)):
+        perm = (head, *tail)
+        yield i, perm, _mv_pairs(reads, perm)
+        if not reads:
+            return
+
+
+_DONE = (None, None, None)
+
+
+def _first_acyclic(
+    analysis: _Analysis, first_only: bool = False
+) -> tuple[VersionOrder, int] | None:
+    """The first version order, in product order, whose graph is acyclic,
+    with its rank in that order counted from 1; or None. With first_only
+    it tries the timestamp order alone.
+
+    The walk goes object by object, through _choices. The rt, rf and T0
+    edges are the same under every order, so their closure is built
+    once, from _Analysis.static_masks. An object's mv edges depend only
+    on its own permutation and are added to the prefix's closure when
+    the walk chooses it, so memory stays that of one path. Edges only
+    accumulate along a prefix, so a prefix whose edges close a cycle is
+    skipped with every completion. The walk permutes vertex indices, so
+    an order's constraints come out as index pairs.
+    """
+    vertex, _, rt, rf = analysis.static_masks
+    root = _closure(rt, rf)
     objs = sorted(analysis.writes)
-    last = analysis.last_event
-    vertex = sorted(last, key=last.__getitem__)
-    index = {v: i for i, v in enumerate(vertex)}
-    writers = [[index[w] for w in sorted(analysis.writes[obj])] for obj in objs]
-    reads = [[(index[k], index[j]) for k, j in analysis.reads.get(obj, ())] for obj in objs]
-    root = _closure(
-        len(index), [(index[u], index[v]) for u, v, _ in analysis.static_edges]
-    )
+    if not objs:
+        return {}, 1
+    choices = analysis.choices
+    sizes = [math.factorial(len(analysis.writes[obj])) for obj in objs]
+
+    def copy(d: int):
+        it = choices[d].__copy__()
+        return itertools.islice(it, 1) if first_only else it
+
     # depth-first; a frame holds the closure of the edges its prefix fixes,
-    # the prefix's rank and the next object's indexed permutations left
-    stack = [(root, (), 0, enumerate(itertools.permutations(writers[0])))]
+    # the prefix's rank and the next object's choices left
+    stack = [(root, (), 0, copy(0))]
     while stack:
-        reach, prefix, rank, perms = stack[-1]
-        i, perm = next(perms, (None, None))
+        above, prefix, rank, perms = stack[-1]
+        i, perm, pairs = next(perms, _DONE)
         if perm is None:
             stack.pop()
             continue
-        d = len(prefix)
-        extended = _extended(reach, _mv_pairs(reads[d], perm))
+        extended = _extended(above, pairs) if pairs else above
         if extended is None:
             continue
+        d = len(prefix)
         chosen = prefix + (perm,)
-        ranked = rank * math.factorial(len(perm)) + i
+        ranked = rank * sizes[d] + i
         if d + 1 == len(objs):
             order = {obj: tuple(vertex[w] for w in seq) for obj, seq in zip(objs, chosen)}
             return order, ranked + 1
-        deeper = enumerate(itertools.permutations(writers[d + 1]))
-        stack.append((extended, chosen, ranked, deeper))
+        stack.append((extended, chosen, ranked, copy(d + 1)))
     return None
+
+
+def _timestamp_cycle(analysis: _Analysis) -> list[int]:
+    """The cycle topological_order reports on the timestamp order's
+    graph, which must have one.
+
+    A Kahn peel over the masks of the rt, rf and T0 edges plus the
+    ascending permutations' mv pairs leaves what any peel of that graph
+    leaves, the vertices on or after a cycle, and _extract_cycle picks
+    the same cycle from them.
+    """
+    vertex, _, rt, rf = analysis.static_masks
+    preds = [a | b for a, b in zip(rt, rf)]
+    for choices in analysis.choices:
+        _, _, pairs = next(choices.__copy__())
+        for u, v in pairs:
+            preds[v] |= 1 << u
+    left = (1 << len(preds)) - 1  # the vertices not peeled yet
+    peeled = True
+    while peeled:
+        # a sweep up the indices peels each vertex whose predecessors are
+        # gone; only mv edges run down the indices, so sweeps are few
+        peeled = False
+        for v, p in enumerate(preds):
+            if left >> v & 1 and not p & left:
+                left ^= 1 << v
+                peeled = True
+    pred = {vertex[v]: [vertex[u] for u in _bits(preds[v] & left)] for v in _bits(left)}
+    return _extract_cycle(set(pred), pred)
 
 
 def check_auto(history: History, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Decide opacity over every version order; check_brute_force is
     the same function.
 
-    The timestamp order goes first, certified by its ascending
-    serialization or by its graph. Only when it fails are the other
-    orders searched, object by object, skipping the completions of
-    every cyclic prefix. The search never guesses: when the candidate
-    count exceeds the budget the verdict is undecided rather than
-    wrong.
+    The timestamp order goes first: when the ascending serialization
+    certifies it, as on MVTO histories, nothing else is built. Otherwise
+    one walk decides it, as the first order tried, and every other
+    order, object by object, skipping the completions of every cyclic
+    prefix. Only the order found gets a graph and a witness. The search
+    never guesses: when the candidate count exceeds the budget, only
+    the timestamp order is tried, and the verdict is undecided rather
+    than wrong when it fails.
     """
     analysis = _Analysis(history)
     if analysis.invalid is not None:
         return _invalid(analysis.invalid)
-    ts = _order_verdict(analysis, _ascending_order(analysis.writes))
-    if ts.opaque:
-        return ts
+    ts = _ascending_order(analysis.writes)
+    if analysis.ascending_certifies(ts):
+        verdict = _order_verdict(analysis, ts)
+        if verdict.opaque:
+            return verdict
     total = math.prod(math.factorial(len(ws)) for ws in analysis.writes.values())
+    found = _first_acyclic(analysis, first_only=total > budget)
+    if found is not None:
+        order, rank = found
+        verdict = _graph_verdict(analysis, order, rank)
+        if not verdict.opaque:
+            raise InvariantViolation(f"search accepted the cyclic version order {order}")
+        return verdict
     if total > budget:
         return Verdict(
             "undecided",
             detail=f"{total} candidate version orders exceed budget {budget}",
         )
-    found = _first_acyclic(analysis)
-    if found is None:
-        return Verdict(
-            "not_opaque",
-            cycle=ts.cycle,
-            detail=f"no version order yields an acyclic graph ({total} tried)",
-            orders_tested=total,
-        )
-    order, rank = found
-    verdict = _graph_verdict(analysis, order, rank)
-    if not verdict.opaque:
-        raise InvariantViolation(f"search accepted the cyclic version order {order}")
-    return verdict
+    return Verdict(
+        "not_opaque",
+        cycle=_timestamp_cycle(analysis),
+        detail=f"no version order yields an acyclic graph ({total} tried)",
+        orders_tested=total,
+    )
 
 
 check_brute_force = check_auto

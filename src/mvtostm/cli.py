@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 
 from . import checker, harness
 from .errors import HistoryFormatError, ReplayError, StmError
@@ -23,7 +22,8 @@ def _fail(message: str) -> int:
 
 def _read_file(path: str) -> str | None:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None
@@ -31,7 +31,8 @@ def _read_file(path: str) -> str | None:
 
 def _write_file(path: str, text: str) -> bool:
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return False

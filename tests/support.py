@@ -16,7 +16,7 @@ import threading
 from mvtostm import checker
 from mvtostm.checker import Verdict, invalid_read
 from mvtostm.core import ABORTED, COMMITTED, Registry, Transaction, VersionTuple
-from mvtostm.errors import HistoryFormatError, UsageError
+from mvtostm.errors import HistoryFormatError, InvariantViolation, UsageError
 from mvtostm.history import (
     ABORT,
     BEGIN,
@@ -299,6 +299,35 @@ def random_replay_script(seed: int) -> str:
         lines.append(lanes[lane].pop(0))
         if not lanes[lane]:
             lanes.pop(lane)
+    return "\n".join(lines) + "\n"
+
+
+def long_replay_script(seed: int, transactions: int, lanes: int = 4) -> str:
+    """A replay script of many transactions over eight objects, at most
+    lanes of them open at once, each reading one or two objects and
+    writing up to two; about one in twenty ends in abort."""
+    rng = random.Random(f"long-schedule/{seed}")
+    objects = [f"x{i}" for i in range(8)]
+    value = 0
+    waiting = []
+    for t in range(transactions):
+        steps = [f"step t{t} b"]
+        steps += [f"step t{t} r {rng.choice(objects)}" for _ in range(rng.randint(1, 2))]
+        for obj in rng.sample(objects, rng.randint(0, 2)):
+            value += 1
+            steps.append(f"step t{t} w {obj} {value}")
+        steps.append(f"step t{t} {'a' if rng.random() < 0.05 else 'c'}")
+        waiting.append(steps)
+    waiting.reverse()
+    running: list[list[str]] = []
+    lines = ["objects " + " ".join(objects)]
+    while waiting or running:
+        while waiting and len(running) < lanes:
+            running.append(waiting.pop())
+        lane = rng.randrange(len(running))
+        lines.append(running[lane].pop(0))
+        if not running[lane]:
+            running.pop(lane)
     return "\n".join(lines) + "\n"
 
 
@@ -672,6 +701,98 @@ def brute_force_reference(history: History, budget: int) -> Verdict:
         detail=f"no version order yields an acyclic graph ({tested} tried)",
         orders_tested=tested,
     )
+
+
+def _reference_closure(size: int, pairs) -> list[int]:
+    """Per vertex index, the bit set of the vertices it reaches over
+    pairs, each running from a lower index to a higher one."""
+    reach = [0] * size
+    for u, v in sorted(pairs, reverse=True):
+        if u >= v:
+            raise InvariantViolation("the rt, rf and T0 edges close a cycle")
+        reach[u] |= reach[v] | 1 << v
+    return reach
+
+
+def reference_extended(reach: list[int], pairs) -> list[int] | None:
+    """A copy of the closure reach with pairs added, or None when one of
+    them closes a cycle."""
+    reach = reach.copy()
+    for u, v in pairs:
+        if reach[v] >> u & 1:
+            return None
+        gain = reach[v] | 1 << v
+        if reach[u] & gain == gain:
+            continue
+        bit = 1 << u
+        for w, r in enumerate(reach):
+            if w == u or r & bit:
+                reach[w] = r | gain
+    return reach
+
+
+def _reference_first_acyclic(analysis) -> tuple[dict, int] | None:
+    """The first acyclic version order in product order and its rank,
+    walking every permutation of every object."""
+    objs = sorted(analysis.writes)
+    last = {0: -1} | {e.tx: i for i, e in enumerate(analysis.history.events)}
+    vertex = sorted(last, key=last.__getitem__)
+    index = {v: i for i, v in enumerate(vertex)}
+    writers = [[index[w] for w in sorted(analysis.writes[obj])] for obj in objs]
+    reads = [[(index[k], index[j]) for k, j in analysis.reads.get(obj, ())] for obj in objs]
+    root = _reference_closure(
+        len(index), [(index[u], index[v]) for u, v, _ in analysis.static_edges]
+    )
+    stack = [(root, (), 0, enumerate(itertools.permutations(writers[0])))]
+    while stack:
+        reach, prefix, rank, perms = stack[-1]
+        i, perm = next(perms, (None, None))
+        if perm is None:
+            stack.pop()
+            continue
+        d = len(prefix)
+        extended = reference_extended(reach, checker._mv_pairs(reads[d], perm))
+        if extended is None:
+            continue
+        chosen = prefix + (perm,)
+        ranked = rank * math.factorial(len(perm)) + i
+        if d + 1 == len(objs):
+            order = {obj: tuple(vertex[w] for w in seq) for obj, seq in zip(objs, chosen)}
+            return order, ranked + 1
+        deeper = enumerate(itertools.permutations(writers[d + 1]))
+        stack.append((extended, chosen, ranked, deeper))
+    return None
+
+
+def reference_check_auto(
+    history: History, budget: int = checker.DEFAULT_BUDGET
+) -> Verdict:
+    """check_auto before the search decided the timestamp order itself:
+    the timestamp order through checker._order_verdict (the ascending
+    serialization, then its graph), then, when it fails and the budget
+    allows, a walk of every permutation of every object."""
+    analysis = checker._Analysis(history)
+    if analysis.invalid is not None:
+        return checker._invalid(analysis.invalid)
+    ts = checker._order_verdict(analysis, checker._ascending_order(analysis.writes))
+    if ts.opaque:
+        return ts
+    total = math.prod(math.factorial(len(ws)) for ws in analysis.writes.values())
+    if total > budget:
+        return Verdict(
+            "undecided",
+            detail=f"{total} candidate version orders exceed budget {budget}",
+        )
+    found = _reference_first_acyclic(analysis)
+    if found is None:
+        return Verdict(
+            "not_opaque",
+            cycle=ts.cycle,
+            detail=f"no version order yields an acyclic graph ({total} tried)",
+            orders_tested=total,
+        )
+    order, rank = found
+    return checker._graph_verdict(analysis, order, rank)
 
 
 # ------------------------------------------------------ nts-chain reference

@@ -594,9 +594,10 @@ class TestPrunedSearch:
         assert found > 150, found
 
     def test_static_edges_never_close_a_cycle(self):
-        # the stronger fact the closure sweep relies on: with T0 first and
-        # every other transaction placed by its last event, each rt, rf
-        # and T0 edge of a valid history runs forward
+        # with T0 first and every other transaction placed by its last
+        # event, each rt, rf and T0 edge of a valid history runs forward;
+        # so it does in the mask sweep's order, the one the closure needs,
+        # and the masks hold exactly those edges
         checked = 0
         for name, h in golden.inputs():
             analysis = checker._Analysis(h)
@@ -610,19 +611,34 @@ class TestPrunedSearch:
                 last[e.tx] = i
             for u, v, label in analysis.static_edges:
                 assert last[u] < last[v], (name, u, v, label)
+            vertex, _, rt, rf = analysis.static_masks
+            masked = {
+                (vertex[u], vertex[v])
+                for v, (before, read) in enumerate(zip(rt, rf))
+                for u in range(v)
+                if (before | read) >> u & 1
+            }
+            for v, (before, read) in enumerate(zip(rt, rf)):
+                assert (before | read) >> v == 0, (name, vertex[v])
+            assert masked == {(u, v) for u, v, _ in analysis.static_edges}, name
             checked += 1
         assert checked > 1500, checked
 
     def test_cyclic_static_edges_are_an_invariant_violation(
         self, reference, monkeypatch
     ):
-        static_edges = checker._Analysis.static_edges.func
+        # T0's rt, rf and T0 predecessors gain transaction 2: a backward
+        # edge in the mask sweep's index order
+        static_masks = checker._Analysis.static_masks.func
 
         def with_backward_edge(analysis):
-            return static_edges(analysis) | {(2, 0, checker.RT)}
+            vertex, index, rt, rf = static_masks(analysis)
+            rt = rt.copy()
+            rt[0] |= 1 << index[2]
+            return vertex, index, rt, rf
 
         monkeypatch.setattr(
-            checker._Analysis, "static_edges", property(with_backward_edge)
+            checker._Analysis, "static_masks", property(with_backward_edge)
         )
         with pytest.raises(InvariantViolation, match="close a cycle"):
             check_auto(reference)
@@ -640,18 +656,154 @@ class TestPrunedSearch:
         return graphs
 
     def test_found_order_is_sorted_once(self, topo_graphs):
+        # the timestamp order fails on the walk's masks, with no graph
         h = parse(support.CYCLIC_FIRST_PREFIX_TEXT)
         v = check_auto(h)
         assert v.opaque
-        assert topo_graphs == [
-            build_graph(h, timestamp_order(h)),
-            build_graph(h, v.order),
-        ]
+        assert topo_graphs == [build_graph(h, v.order)]
 
     def test_no_order_found_sorts_only_timestamps(self, reference, topo_graphs):
+        # check_auto sorts no graph; its cycle is the one sorting the
+        # timestamp order's graph yields
         v = check_auto(reference)
         assert v.status == "not_opaque" and v.orders_tested == 72
-        assert topo_graphs == [build_graph(reference, timestamp_order(reference))]
+        assert topo_graphs == []
+        _, cycle = topological_order(build_graph(reference, timestamp_order(reference)))
+        assert v.cycle == cycle
+
+
+BUDGETS = (1, 10, 72, checker.DEFAULT_BUDGET)
+
+
+def _walk_corpus():
+    yield from golden.inputs()
+    for seed in range(600):
+        yield f"concurrent/{seed}", support.random_concurrent_history(seed)
+
+
+class TestOneWalk:
+    """check_auto decides the timestamp order and the search in one walk.
+    Verdicts, orders, counts, cycles and witnesses must stay those of the
+    code it replaced, support.reference_check_auto."""
+
+    def _agrees_with_references(self):
+        decided = 0
+        for name, h in _walk_corpus():
+            for budget in BUDGETS:
+                auto = _outcome(check_auto, h, budget)
+                assert auto == _outcome(support.reference_check_auto, h, budget), (
+                    name,
+                    budget,
+                )
+                brute = _outcome(
+                    support.brute_force_reference, h, min(budget, DIFF_BUDGET)
+                )
+                if getattr(brute, "status", None) not in (None, "undecided"):
+                    assert auto == brute, (name, budget)
+                    decided += 1
+        return decided
+
+    def test_matches_the_replaced_check(self):
+        assert self._agrees_with_references() > 3000
+
+    def test_matches_with_the_gate_declining(self, monkeypatch):
+        # the walk alone decides what the ascending serialization certified
+        monkeypatch.setattr(
+            checker._Analysis, "ascending_certifies", lambda analysis, order: False
+        )
+        assert self._agrees_with_references() > 3000
+
+    def test_a_read_brings_its_writers_predecessors(self):
+        # 2 terminated before 3 began and 1 read 3's y, so 2 precedes 1
+        # although 1 began first; 1 read x before 2 wrote it
+        h = parse("b 1\nr 1 x 0\nb 2\nw 2 x 1\nc 2\nb 3\nw 3 y 2\nc 3\nr 1 y 2\nc 1\n")
+        v = check_auto(h)
+        assert v.status == "not_opaque" and v.cycle == [1, 2, 3]
+        assert v == support.reference_check_auto(h)
+
+    def test_event_after_a_terminal_is_a_usage_error(self):
+        # parse refuses this; a history built by hand reaches the search,
+        # whose rt masks need each terminal to be its transaction's last
+        events = (Event("b", 2), Event("c", 2), Event("b", 1), Event("c", 1))
+        h = History(events + (Event("w", 2, "x", 5),))
+        with pytest.raises(UsageError, match="well-formed"):
+            check_auto(h)
+
+    def test_gate_is_the_ascending_witness(self):
+        # exact: it passes iff the ascending serialization passes _witness
+        passed = 0
+        for name, h in _walk_corpus():
+            try:
+                analysis = checker._Analysis(h)
+                if analysis.invalid is not None:
+                    continue
+            except ValueError:
+                continue
+            order = checker._ascending_order(analysis.writes)
+            _, failure = checker._witness(analysis, sorted(analysis.vertices))
+            assert analysis.ascending_certifies(order) == (failure is None), name
+            passed += failure is None
+        assert passed > 1000, passed
+
+    def test_walk_skips_t0_later_and_unread_permutations(self, monkeypatch):
+        tried = []  # (writers, reads, permutation) of every choice the walk meets
+        choices = checker._choices
+
+        def recording(writers, reads):
+            for choice in choices(writers, reads):
+                tried.append((writers, reads, choice[1]))
+                yield choice
+
+        steps = []
+        extended = checker._extended
+
+        def counting(above, pairs):
+            steps.append(pairs)
+            return extended(above, pairs)
+
+        reference_steps = []
+        reference_extended = support.reference_extended
+
+        def reference_counting(reach, pairs):
+            reference_steps.append(pairs)
+            return reference_extended(reach, pairs)
+
+        monkeypatch.setattr(checker, "_choices", recording)
+        monkeypatch.setattr(checker, "_extended", counting)
+        monkeypatch.setattr(support, "reference_extended", reference_counting)
+        fewer = unread = 0
+        for seed in range(600):
+            h = support.random_concurrent_history(seed)
+            tried.clear()
+            steps.clear()
+            reference_steps.clear()
+            v = check_auto(h, DIFF_BUDGET)
+            support.reference_check_auto(h, DIFF_BUDGET)
+            for writers, reads, perm in tried:
+                assert perm[0] == writers[0] == 0, seed
+            for writers, reads in {(tuple(w), tuple(r)) for w, r, _ in tried}:
+                if not reads:
+                    unread += 1
+                    perms = [p for w, r, p in tried if tuple(w) == writers and not r]
+                    assert set(perms) == {writers}, seed
+            if v.status == "not_opaque":
+                fewer += len(steps) < len(reference_steps)
+        assert fewer >= 100 and unread > 0, (fewer, unread)
+
+    def test_long_mvto_history_takes_the_gate(self, monkeypatch):
+        h = replay(support.long_replay_script(1, 1200))
+        assert len(h.txns()) >= 1000
+
+        def unexpected(*args):
+            raise AssertionError("the gate should have certified")
+
+        monkeypatch.setattr(checker, "real_time_pairs", unexpected)
+        monkeypatch.setattr(checker, "topological_order", unexpected)
+        monkeypatch.setattr(checker, "_closure", unexpected)
+        monkeypatch.setattr(checker._Analysis, "static_masks", property(unexpected))
+        v = check_auto(h)
+        assert v.opaque and v.orders_tested == 1
+        assert [e.tx for e in v.serialization] == sorted(e.tx for e in h.complete())
 
 
 class TestSequentialHistoriesAreOpaque:
