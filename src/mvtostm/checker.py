@@ -22,14 +22,25 @@ real-time checks rather than trusting the construction. Each check
 projects its history once for every order it tries, and only a witness
 builds the completion.
 
+One engine decides every version order. The rt, rf and T0 edges are
+per-vertex bit sets, built in one sweep of the events; a version order
+adds its mv edges to them, and one Kahn peel, ties broken by ascending
+id, yields the topological order or leaves the vertices on or after a
+cycle, from which one rule extracts the cycle. build_graph and
+topological_order give the same graph and the same answer as labelled
+edge sets, and topological_order runs the same peel.
+
 When the version order lists every object's writers in ascending id,
-as the timestamp order does, the checker first tries the ascending
-serialization itself: T0, then every transaction by id. If that passes
-the witness checks, every edge of the graph runs from a lower id to a
-higher one, so the ascending order is exactly the topological order
-the graph would yield, and the graph is never built. This is the
-common case on MVTO histories, where timestamp order is the witness.
-Otherwise the graph decides, as above.
+as the timestamp order does, an exact gate first asks whether the
+ascending serialization itself, T0 then every transaction by id, would
+pass the witness checks: every read returns the newest committed writer
+below its reader, and no larger id terminated before a transaction's
+first event. The gate reads only the history as given and costs one
+pass over the events and one dictionary lookup per read. When it
+passes, every edge of the graph runs from a lower id to a higher one,
+so the ascending order is exactly the topological order the peel would
+yield, and no edge is built. This is the common case on MVTO histories,
+where timestamp order is the witness. A call asks the gate at most once.
 
 Text comes first. certify_text reads a history's text in one pass and
 decides whether the ascending serialization certifies it, the check
@@ -41,29 +52,21 @@ transaction began. Its witness is the input's own lines regrouped by
 id. opacity-check builds events and calls check_with_order or
 check_auto only when it declines.
 
-check_auto first asks a gate whether the ascending serialization would
-pass: every read returns the newest committed writer below its reader,
-and no larger id terminated before a transaction's first event. The
-gate is exact, reads only the history as given, and costs one pass
-over the events and one dictionary lookup per read. When it passes,
-the timestamp order is decided as check_with_order decides it, and
-nothing else is built: MVTO histories take this path.
-
-Otherwise one walk decides the timestamp order and every other version
-order, in product order: objects sorted, each object's writers through
-their permutations in lexicographic order, ascending first, so the
-timestamp order is the first leaf. The rt, rf and T0 edges become
-per-vertex bit sets in one sweep of the events; each object's mv edges
-join the closure of the prefix when the walk picks its permutation,
-and a prefix whose edges close a cycle is skipped with every
-completion. The walk tries only the permutations that put T0 first,
-which are the first (k-1)! of an object's k!, and only the ascending
-one of an object nobody reads; the first acyclic order in product order
-is always among them. The first acyclic order wins, and its rank in
-product order is the count of orders tried; when none is acyclic, every
-order counts, and the verdict's cycle is the one the timestamp order's
-graph yields. Verdict, order, count and cycle are those of building one
-graph per order, but only the order found gets a graph, and a witness.
+check_with_order decides one order: the gate when the order is
+ascending and it passes, the peel otherwise. check_auto decides the
+timestamp order that way first. When that order is cyclic, one walk
+decides every order, in product order: objects sorted, each object's
+writers through their permutations in lexicographic order, ascending
+first, so the timestamp order is the first leaf. Each object's mv edges
+join the closure of the prefix when the walk picks its permutation, and
+a prefix whose edges close a cycle is skipped with every completion.
+The walk tries only the permutations that put T0 first, which are the
+first (k-1)! of an object's k!, and only the ascending one of an object
+nobody reads; the first acyclic order in product order is always among
+them. The first acyclic order wins, its rank in product order is the
+count of orders tried, and the peel orders its graph for the witness.
+When none is acyclic, every order counts, and the verdict's cycle is
+the one the timestamp order's peel left.
 """
 
 from __future__ import annotations
@@ -438,26 +441,6 @@ class _Analysis:
                     rf[index[k]] |= 1 << index[j]
         return vertex, index, rt, rf
 
-    @cached_property
-    def choices(self) -> list:
-        """Per object, sorted, the permutations the search tries, by
-        vertex index, each with its rank and its mv pairs.
-
-        Each is a tee, which keeps what it produced: every copy replays
-        the object's permutations and each one's pairs are built once.
-        """
-        _, index, _, _ = self.static_masks
-        return [
-            itertools.tee(
-                _choices(
-                    [index[w] for w in sorted(self.writes[obj])],
-                    [(index[k], index[j]) for k, j in self.reads.get(obj, ())],
-                ),
-                1,
-            )[0]
-            for obj in sorted(self.writes)
-        ]
-
     def validate_order(self, order: VersionOrder) -> None:
         want = {obj: set(ws) for obj, ws in self.writes.items()}
         if set(order) != set(want):
@@ -472,17 +455,16 @@ class _Analysis:
                     f"writers {sorted(want[obj])}, got {list(seq)}"
                 )
 
-    def graph(self, order: VersionOrder) -> OpacityGraph:
-        edges = set(self.static_edges)
-        for obj, seq in order.items():
-            edges.update((u, v, MV) for u, v in _mv_pairs(self.reads.get(obj, ()), seq))
-        return OpacityGraph(self.vertices, frozenset(edges))
-
 
 def build_graph(history: History, order: VersionOrder) -> OpacityGraph:
+    """The labelled graph of a history under a version order; UsageError
+    if the order does not list exactly each object's committed writers."""
     analysis = _Analysis(history)
     analysis.validate_order(order)
-    return analysis.graph(order)
+    edges = set(analysis.static_edges)
+    for obj, seq in order.items():
+        edges.update((u, v, MV) for u, v in _mv_pairs(analysis.reads.get(obj, ()), seq))
+    return OpacityGraph(analysis.vertices, frozenset(edges))
 
 
 def topological_order(graph: OpacityGraph):
@@ -491,46 +473,71 @@ def topological_order(graph: OpacityGraph):
     The cycle is an explicit vertex list u1..um with edges u1->u2,
     ..., um->u1, extracted deterministically.
     """
-    pairs = graph.edge_pairs()
-    succ: dict[int, set[int]] = defaultdict(set)
-    pred: dict[int, set[int]] = defaultdict(set)
-    for u, v in pairs:
+    vertex = sorted(graph.vertices)
+    index = {v: i for i, v in enumerate(vertex)}
+    preds = [0] * len(vertex)
+    for u, v in graph.edge_pairs():
         if u == v:
             return None, [u]
-        succ[u].add(v)
-        pred[v].add(u)
-    indeg = {v: len(pred[v]) for v in graph.vertices}
-    heap = [v for v in graph.vertices if indeg[v] == 0]
-    heapify(heap)
+        preds[index[v]] |= 1 << index[u]
+    return _peel(vertex, preds)
+
+
+def _peel(vertex: list[int], preds: list[int]):
+    """Kahn's peel of the graph whose vertex of index v has the id
+    vertex[v] and the predecessors in the bit set preds[v]: (order,
+    None), ties broken by ascending id, or (None, cycle).
+
+    A vertex waits on one predecessor not peeled yet, the highest
+    index; when that one is peeled, the vertex is ready or waits on the
+    next. So it becomes ready when its last predecessor goes, as with
+    in-degree counts, and no successor lists are built. What no peel
+    removes is the set of vertices on or after a cycle, whichever ready
+    vertex each step takes.
+    """
+    waiting: list[list[int]] = [[] for _ in preds]
+    ready = []
+    for v, p in enumerate(preds):
+        if p:
+            waiting[p.bit_length() - 1].append(v)
+        else:
+            ready.append((vertex[v], v))
+    heapify(ready)
+    left = (1 << len(preds)) - 1  # the vertices not peeled yet
     out: list[int] = []
-    while heap:
-        v = heappop(heap)
-        out.append(v)
-        for w in succ[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heappush(heap, w)
-    if len(out) == len(graph.vertices):
+    while ready:
+        tx, u = heappop(ready)
+        out.append(tx)
+        left ^= 1 << u
+        for v in waiting[u]:
+            p = preds[v] & left
+            if p:
+                waiting[p.bit_length() - 1].append(v)
+            else:
+                heappush(ready, (vertex[v], v))
+    if not left:
         return out, None
-    remaining = set(graph.vertices) - set(out)
-    return None, _extract_cycle(remaining, pred)
+    return None, _extract_cycle(vertex, preds, left)
 
 
-def _extract_cycle(remaining: set[int], pred) -> list[int]:
-    # every vertex left after peeling has a predecessor among the leftovers;
-    # walking smallest predecessors must close a loop
-    start = min(remaining)
-    path = [start]
-    index = {start: 0}
-    cur = start
+def _extract_cycle(vertex: list[int], preds: list[int], left: int) -> list[int]:
+    """The cycle through the vertices a peel left, the bit set left, by
+    id: from the smallest id left, step to the smallest predecessor
+    left until a vertex repeats, and list that loop as u1..um with edges
+    u1->u2, ..., um->u1."""
+    # every vertex left has a predecessor left, so the walk must close a
+    # loop; it lists the predecessors only of the vertices it visits
+    by_id = vertex.__getitem__
+    cur = min(_bits(left), key=by_id)
+    path = [cur]
+    at = {cur: 0}
     while True:
-        nxt = min(p for p in pred[cur] if p in remaining)
-        if nxt in index:
-            tail = path[index[nxt]:]
-            return [tail[0]] + tail[:0:-1]
-        index[nxt] = len(path)
-        path.append(nxt)
-        cur = nxt
+        cur = min(_bits(preds[cur] & left), key=by_id)
+        if cur in at:
+            tail = path[at[cur]:]
+            return [vertex[v] for v in (tail[0], *tail[:0:-1])]
+        at[cur] = len(path)
+        path.append(cur)
 
 
 # ------------------------------------------------------------------ verdicts
@@ -627,34 +634,35 @@ def _invalid(bad: Event) -> Verdict:
     )
 
 
-def _graph_verdict(analysis: _Analysis, order: VersionOrder, tested: int = 1) -> Verdict:
-    """Decide under one valid version order by building the graph; the
-    verdict reports tested orders."""
-    topo, cycle = topological_order(analysis.graph(order))
-    if topo is None:
-        return Verdict(
-            "not_opaque",
-            order=dict(order),
-            cycle=cycle,
-            detail="under the supplied version order",
-            orders_tested=tested,
-        )
+def _order_verdict(analysis: _Analysis, order: VersionOrder, tested: int = 1) -> Verdict:
+    """Decide under one valid version order: the ascending serialization
+    when the order is ascending and the gate passes, the peel of the
+    order's graph otherwise; the verdict reports tested orders."""
+    if all(list(seq) == sorted(seq) for seq in order.values()) and (
+        analysis.ascending_certifies(order)
+    ):
+        topo = sorted(analysis.vertices)
+    else:
+        # the rt, rf and T0 bit sets plus the order's mv pairs, by index
+        vertex, index, rt, rf = analysis.static_masks
+        preds = [a | b for a, b in zip(rt, rf)]
+        for obj, seq in order.items():
+            reads = [(index[k], index[j]) for k, j in analysis.reads.get(obj, ())]
+            for u, v in _mv_pairs(reads, [index[w] for w in seq]):
+                preds[v] |= 1 << u
+        topo, cycle = _peel(vertex, preds)
+        if topo is None:
+            return Verdict(
+                "not_opaque",
+                order=dict(order),
+                cycle=cycle,
+                detail="under the supplied version order",
+                orders_tested=tested,
+            )
     s, failure = _witness(analysis, topo)
     if failure is not None:
         raise InvariantViolation(failure)
     return Verdict("opaque", order=dict(order), serialization=s, orders_tested=tested)
-
-
-def _order_verdict(analysis: _Analysis, order: VersionOrder) -> Verdict:
-    """Decide under one valid version order: the ascending serialization
-    when the order allows it and it passes, the graph otherwise."""
-    if all(list(seq) == sorted(seq) for seq in order.values()):
-        s, failure = _witness(analysis, sorted(analysis.vertices))
-        if failure is None:
-            return Verdict(
-                "opaque", order=dict(order), serialization=s, orders_tested=1
-            )
-    return _graph_verdict(analysis, order)
 
 
 def check_with_order(history: History, order: VersionOrder | None = None) -> Verdict:
@@ -846,12 +854,9 @@ def _choices(writers: list[int], reads: list[tuple[int, int]]):
 _DONE = (None, None, None)
 
 
-def _first_acyclic(
-    analysis: _Analysis, first_only: bool = False
-) -> tuple[VersionOrder, int] | None:
+def _first_acyclic(analysis: _Analysis) -> tuple[VersionOrder, int] | None:
     """The first version order, in product order, whose graph is acyclic,
-    with its rank in that order counted from 1; or None. With first_only
-    it tries the timestamp order alone.
+    with its rank in that order counted from 1; or None.
 
     The walk goes object by object, through _choices. The rt, rf and T0
     edges are the same under every order, so their closure is built
@@ -862,21 +867,27 @@ def _first_acyclic(
     skipped with every completion. The walk permutes vertex indices, so
     an order's constraints come out as index pairs.
     """
-    vertex, _, rt, rf = analysis.static_masks
+    vertex, index, rt, rf = analysis.static_masks
     root = _closure(rt, rf)
     objs = sorted(analysis.writes)
-    if not objs:
-        return {}, 1
-    choices = analysis.choices
+    # per object, its choices by vertex index as a tee, which keeps what
+    # it produced: every copy replays them, and each one's pairs are
+    # built once
+    choices = [
+        itertools.tee(
+            _choices(
+                [index[w] for w in sorted(analysis.writes[obj])],
+                [(index[k], index[j]) for k, j in analysis.reads.get(obj, ())],
+            ),
+            1,
+        )[0]
+        for obj in objs
+    ]
     sizes = [math.factorial(len(analysis.writes[obj])) for obj in objs]
-
-    def copy(d: int):
-        it = choices[d].__copy__()
-        return itertools.islice(it, 1) if first_only else it
 
     # depth-first; a frame holds the closure of the edges its prefix fixes,
     # the prefix's rank and the next object's choices left
-    stack = [(root, (), 0, copy(0))]
+    stack = [(root, (), 0, choices[0].__copy__())]
     while stack:
         above, prefix, rank, perms = stack[-1]
         i, perm, pairs = next(perms, _DONE)
@@ -892,79 +903,50 @@ def _first_acyclic(
         if d + 1 == len(objs):
             order = {obj: tuple(vertex[w] for w in seq) for obj, seq in zip(objs, chosen)}
             return order, ranked + 1
-        stack.append((extended, chosen, ranked, copy(d + 1)))
+        stack.append((extended, chosen, ranked, choices[d + 1].__copy__()))
     return None
-
-
-def _timestamp_cycle(analysis: _Analysis) -> list[int]:
-    """The cycle topological_order reports on the timestamp order's
-    graph, which must have one.
-
-    A Kahn peel over the masks of the rt, rf and T0 edges plus the
-    ascending permutations' mv pairs leaves what any peel of that graph
-    leaves, the vertices on or after a cycle, and _extract_cycle picks
-    the same cycle from them.
-    """
-    vertex, _, rt, rf = analysis.static_masks
-    preds = [a | b for a, b in zip(rt, rf)]
-    for choices in analysis.choices:
-        _, _, pairs = next(choices.__copy__())
-        for u, v in pairs:
-            preds[v] |= 1 << u
-    left = (1 << len(preds)) - 1  # the vertices not peeled yet
-    peeled = True
-    while peeled:
-        # a sweep up the indices peels each vertex whose predecessors are
-        # gone; only mv edges run down the indices, so sweeps are few
-        peeled = False
-        for v, p in enumerate(preds):
-            if left >> v & 1 and not p & left:
-                left ^= 1 << v
-                peeled = True
-    pred = {vertex[v]: [vertex[u] for u in _bits(preds[v] & left)] for v in _bits(left)}
-    return _extract_cycle(set(pred), pred)
 
 
 def check_auto(history: History, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Decide opacity over every version order; check_brute_force is
     the same function.
 
-    The timestamp order goes first: when the ascending serialization
-    certifies it, as on MVTO histories, nothing else is built. Otherwise
-    one walk decides it, as the first order tried, and every other
-    order, object by object, skipping the completions of every cyclic
-    prefix. Only the order found gets a graph and a witness. The search
-    never guesses: when the candidate count exceeds the budget, only
-    the timestamp order is tried, and the verdict is undecided rather
-    than wrong when it fails.
+    The timestamp order goes first, decided as check_with_order decides
+    it: when the ascending serialization certifies it, as on MVTO
+    histories, nothing else is built. When its peel leaves a cycle, one
+    walk tries every order, object by object, skipping the completions
+    of every cyclic prefix. Only the order found is then peeled and
+    gets a witness; when none is found, the timestamp order's cycle is
+    the verdict's. The search never guesses: when the candidate count
+    exceeds the budget, only the timestamp order is tried, and the
+    verdict is undecided rather than wrong when it fails.
     """
     analysis = _Analysis(history)
     if analysis.invalid is not None:
         return _invalid(analysis.invalid)
-    ts = _ascending_order(analysis.writes)
-    if analysis.ascending_certifies(ts):
-        verdict = _order_verdict(analysis, ts)
-        if verdict.opaque:
-            return verdict
+    ts = _order_verdict(analysis, _ascending_order(analysis.writes))
+    if ts.opaque:
+        return ts
     total = math.prod(math.factorial(len(ws)) for ws in analysis.writes.values())
-    found = _first_acyclic(analysis, first_only=total > budget)
-    if found is not None:
-        order, rank = found
-        verdict = _graph_verdict(analysis, order, rank)
-        if not verdict.opaque:
-            raise InvariantViolation(f"search accepted the cyclic version order {order}")
-        return verdict
     if total > budget:
         return Verdict(
             "undecided",
             detail=f"{total} candidate version orders exceed budget {budget}",
         )
-    return Verdict(
-        "not_opaque",
-        cycle=_timestamp_cycle(analysis),
-        detail=f"no version order yields an acyclic graph ({total} tried)",
-        orders_tested=total,
-    )
+    found = _first_acyclic(analysis)
+    if found is None:
+        return Verdict(
+            "not_opaque",
+            cycle=ts.cycle,
+            detail=f"no version order yields an acyclic graph ({total} tried)",
+            orders_tested=total,
+        )
+    # the timestamp order is cyclic, so the order found is not ascending
+    order, rank = found
+    verdict = _order_verdict(analysis, order, rank)
+    if not verdict.opaque:
+        raise InvariantViolation(f"search accepted the cyclic version order {order}")
+    return verdict
 
 
 check_brute_force = check_auto

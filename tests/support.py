@@ -12,6 +12,8 @@ import itertools
 import math
 import random
 import threading
+from collections import defaultdict
+from heapq import heapify, heappop, heappush
 
 from mvtostm import checker
 from mvtostm.checker import Verdict, invalid_read
@@ -632,15 +634,85 @@ def oracle_acyclic_dfs(vertices, pairs) -> bool:
 # must reproduce verdict for verdict.
 
 
+def reference_topological_order(graph: checker.OpacityGraph):
+    """topological_order as a heap-driven Kahn sort over in-degree
+    counts and successor sets: (order, None) with ties broken by
+    ascending id, or (None, cycle)."""
+    pairs = graph.edge_pairs()
+    succ: dict[int, set[int]] = defaultdict(set)
+    pred: dict[int, set[int]] = defaultdict(set)
+    for u, v in pairs:
+        if u == v:
+            return None, [u]
+        succ[u].add(v)
+        pred[v].add(u)
+    indeg = {v: len(pred[v]) for v in graph.vertices}
+    heap = [v for v in graph.vertices if indeg[v] == 0]
+    heapify(heap)
+    out: list[int] = []
+    while heap:
+        v = heappop(heap)
+        out.append(v)
+        for w in succ[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heappush(heap, w)
+    if len(out) == len(graph.vertices):
+        return out, None
+    remaining = set(graph.vertices) - set(out)
+    return None, _reference_extract_cycle(remaining, pred)
+
+
+def _reference_extract_cycle(remaining: set[int], pred) -> list[int]:
+    # every vertex left after peeling has a predecessor among the leftovers;
+    # walking smallest predecessors must close a loop
+    start = min(remaining)
+    path = [start]
+    index = {start: 0}
+    cur = start
+    while True:
+        nxt = min(p for p in pred[cur] if p in remaining)
+        if nxt in index:
+            tail = path[index[nxt]:]
+            return [tail[0]] + tail[:0:-1]
+        index[nxt] = len(path)
+        path.append(nxt)
+        cur = nxt
+
+
+def reference_graph_verdict(analysis, order, tested: int = 1) -> Verdict:
+    """Decide under one valid version order by building its labelled
+    graph, real_time_pairs included, and sorting it with
+    reference_topological_order; the verdict reports tested orders."""
+    edges = set(analysis.static_edges)
+    for obj, seq in order.items():
+        pairs = checker._mv_pairs(analysis.reads.get(obj, ()), seq)
+        edges.update((u, v, checker.MV) for u, v in pairs)
+    graph = checker.OpacityGraph(analysis.vertices, frozenset(edges))
+    topo, cycle = reference_topological_order(graph)
+    if topo is None:
+        return Verdict(
+            "not_opaque",
+            order=dict(order),
+            cycle=cycle,
+            detail="under the supplied version order",
+            orders_tested=tested,
+        )
+    s, failure = checker._witness(analysis, topo)
+    if failure is not None:
+        raise InvariantViolation(failure)
+    return Verdict("opaque", order=dict(order), serialization=s, orders_tested=tested)
+
+
 def check_with_graph(history: History, order) -> Verdict:
     """check_with_order without the ascending shortcut: always builds the
-    graph, through checker._graph_verdict."""
+    graph, through reference_graph_verdict."""
     bad = invalid_read(history)
     if bad is not None:
         return checker._invalid(bad)
     analysis = checker._Analysis(history)
     analysis.validate_order(order)
-    return checker._graph_verdict(analysis, order)
+    return reference_graph_verdict(analysis, order)
 
 
 def reference_mv_edges(reads, writers_by_obj, positions) -> set[tuple[int, int, str]]:
@@ -690,7 +762,7 @@ def brute_force_reference(history: History, budget: int) -> Verdict:
         *(itertools.permutations(sorted(analysis.writes[obj])) for obj in objs)
     ):
         tested += 1
-        verdict = checker._graph_verdict(analysis, dict(zip(objs, combo)), tested)
+        verdict = reference_graph_verdict(analysis, dict(zip(objs, combo)), tested)
         if verdict.opaque:
             return verdict
         if first_cycle is None:
@@ -768,13 +840,17 @@ def reference_check_auto(
     history: History, budget: int = checker.DEFAULT_BUDGET
 ) -> Verdict:
     """check_auto before the search decided the timestamp order itself:
-    the timestamp order through checker._order_verdict (the ascending
-    serialization, then its graph), then, when it fails and the budget
-    allows, a walk of every permutation of every object."""
+    the timestamp order through the ascending serialization, then its
+    graph, then, when it fails and the budget allows, a walk of every
+    permutation of every object, and the found order's graph."""
     analysis = checker._Analysis(history)
     if analysis.invalid is not None:
         return checker._invalid(analysis.invalid)
-    ts = checker._order_verdict(analysis, checker._ascending_order(analysis.writes))
+    ts_order = checker._ascending_order(analysis.writes)
+    s, failure = checker._witness(analysis, sorted(analysis.vertices))
+    if failure is None:
+        return Verdict("opaque", order=dict(ts_order), serialization=s, orders_tested=1)
+    ts = reference_graph_verdict(analysis, ts_order)
     if ts.opaque:
         return ts
     total = math.prod(math.factorial(len(ws)) for ws in analysis.writes.values())
@@ -792,7 +868,7 @@ def reference_check_auto(
             orders_tested=total,
         )
     order, rank = found
-    return checker._graph_verdict(analysis, order, rank)
+    return reference_graph_verdict(analysis, order, rank)
 
 
 # ------------------------------------------------------ nts-chain reference

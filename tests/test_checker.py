@@ -643,32 +643,23 @@ class TestPrunedSearch:
         with pytest.raises(InvariantViolation, match="close a cycle"):
             check_auto(reference)
 
-    @pytest.fixture
-    def topo_graphs(self, monkeypatch):
-        graphs = []
-        topological_order = checker.topological_order
-
-        def recording(graph):
-            graphs.append(graph)
-            return topological_order(graph)
-
-        monkeypatch.setattr(checker, "topological_order", recording)
-        return graphs
-
-    def test_found_order_is_sorted_once(self, topo_graphs):
-        # the timestamp order fails on the walk's masks, with no graph
+    def test_found_order_is_sorted_once(self, graph_calls):
+        # the timestamp order's peel leaves a cycle, the walk finds the
+        # order, and only that order's graph is peeled after it
         h = parse(support.CYCLIC_FIRST_PREFIX_TEXT)
         v = check_auto(h)
         assert v.opaque
-        assert topo_graphs == [build_graph(h, v.order)]
+        ts, found = (build_graph(h, order) for order in (timestamp_order(h), v.order))
+        assert graph_calls == [_edge_pairs(ts), _edge_pairs(found)]
 
-    def test_no_order_found_sorts_only_timestamps(self, reference, topo_graphs):
-        # check_auto sorts no graph; its cycle is the one sorting the
-        # timestamp order's graph yields
+    def test_no_order_found_sorts_only_timestamps(self, reference, graph_calls):
+        # check_auto peels the timestamp order's graph alone, and its
+        # cycle is the one sorting that graph yields
         v = check_auto(reference)
         assert v.status == "not_opaque" and v.orders_tested == 72
-        assert topo_graphs == []
-        _, cycle = topological_order(build_graph(reference, timestamp_order(reference)))
+        graph = build_graph(reference, timestamp_order(reference))
+        assert graph_calls == [_edge_pairs(graph)]
+        _, cycle = support.reference_topological_order(graph)
         assert v.cycle == cycle
 
 
@@ -682,9 +673,10 @@ def _walk_corpus():
 
 
 class TestOneWalk:
-    """check_auto decides the timestamp order and the search in one walk.
-    Verdicts, orders, counts, cycles and witnesses must stay those of the
-    code it replaced, support.reference_check_auto."""
+    """check_auto decides the timestamp order by the gate or the peel,
+    then every order in one walk. Verdicts, orders, counts, cycles and
+    witnesses must stay those of the code it replaced,
+    support.reference_check_auto."""
 
     def _agrees_with_references(self):
         decided = 0
@@ -707,7 +699,8 @@ class TestOneWalk:
         assert self._agrees_with_references() > 3000
 
     def test_matches_with_the_gate_declining(self, monkeypatch):
-        # the walk alone decides what the ascending serialization certified
+        # the peel and the walk decide what the ascending serialization
+        # certified
         monkeypatch.setattr(
             checker._Analysis, "ascending_certifies", lambda analysis, order: False
         )
@@ -728,6 +721,9 @@ class TestOneWalk:
         h = History(events + (Event("w", 2, "x", 5),))
         with pytest.raises(UsageError, match="well-formed"):
             check_auto(h)
+        # so do the peel's masks under a fixed order the gate cannot take
+        with pytest.raises(UsageError, match="well-formed"):
+            check_with_order(h, {"x": (2, 0)})
 
     def test_gate_is_the_ascending_witness(self):
         # exact: it passes iff the ascending serialization passes _witness
@@ -858,23 +854,33 @@ def _random_order(seed: int, history: History) -> dict:
     return order
 
 
+def _edge_pairs(graph: OpacityGraph):
+    return graph.vertices, graph.edge_pairs()
+
+
 @pytest.fixture
 def graph_calls(monkeypatch):
-    """Every version order the graph path decides, recorded as it runs."""
+    """Every graph the peel orders, as its vertices and (from, to) id
+    pairs, recorded as it runs."""
     calls = []
-    graph_verdict = checker._graph_verdict
+    peel = checker._peel
 
-    def recording(analysis, order, tested=1):
-        calls.append(order)
-        return graph_verdict(analysis, order, tested)
+    def recording(vertex, preds):
+        pairs = {
+            (vertex[u], vertex[v])
+            for v, p in enumerate(preds)
+            for u in checker._bits(p)
+        }
+        calls.append((frozenset(vertex), pairs))
+        return peel(vertex, preds)
 
-    monkeypatch.setattr(checker, "_graph_verdict", recording)
+    monkeypatch.setattr(checker, "_peel", recording)
     return calls
 
 
 def _same_verdicts(history: History, order, graph_calls) -> bool:
     """Assert that check_with_order agrees with the graph path under
-    order; return whether it certified opacity without building a graph."""
+    order; return whether it certified opacity without peeling a graph."""
     before = len(graph_calls)
     fast = _outcome(check_with_order, history, order)
     certified = len(graph_calls) == before and getattr(fast, "opaque", False)
@@ -893,7 +899,7 @@ def _same_auto(history: History) -> None:
 
 class TestAscendingShortcut:
     """check_with_order certifies the ascending serialization before it
-    builds a graph. Every verdict must equal the graph path's."""
+    peels a graph. Every verdict must equal the graph path's."""
 
     def test_stress_runs(self, graph_calls):
         for seed in range(4):
@@ -981,6 +987,66 @@ class TestAscendingShortcut:
         assert v == support.check_with_graph(h, order)
         assert v.status == "not_opaque"
         assert v.cycle == [1, 3]
+
+
+def _non_ascending_order(seed: int, history: History) -> dict | None:
+    """A seeded random version order that lists some object's writers
+    out of ascending order, or None when no object has two writers."""
+    rng = random.Random(f"non-ascending/{seed}")
+    order = _random_order(seed, history)
+    if all(list(seq) == sorted(seq) for seq in order.values()):
+        several = [obj for obj, seq in order.items() if len(seq) > 1]
+        if not several:
+            return None
+        obj = rng.choice(several)
+        order[obj] = order[obj][::-1]
+    return order
+
+
+def _unexpected(*args):
+    raise AssertionError("the labelled graph was built")
+
+
+class TestOneEngine:
+    """check_with_order decides an order the gate cannot take by peeling
+    the walk's bit sets. Whole verdicts must be those of the labelled
+    graph, support.check_with_graph, and neither it nor check_auto may
+    build an rt pair, a labelled edge or a heap sort on the way."""
+
+    def _agrees(self, monkeypatch, corpus) -> Counter:
+        statuses = Counter()
+        for seed, (name, h) in enumerate(corpus):
+            order = _non_ascending_order(seed, h)
+            if order is None:
+                continue
+            with monkeypatch.context() as m:
+                m.setattr(checker, "real_time_pairs", _unexpected)
+                m.setattr(checker, "topological_order", _unexpected)
+                m.setattr(checker._Analysis, "static_edges", property(_unexpected))
+                verdict = _outcome(check_with_order, h, order)
+                auto = _outcome(check_auto, h, DIFF_BUDGET)
+            assert verdict == _outcome(support.check_with_graph, h, order), name
+            assert auto == _outcome(support.reference_check_auto, h, DIFF_BUDGET), name
+            statuses[getattr(verdict, "status", "ValueError")] += 1
+        return statuses
+
+    def test_golden_inputs(self, monkeypatch):
+        statuses = self._agrees(monkeypatch, golden.inputs())
+        assert statuses["opaque"] > 100 and statuses["not_opaque"] > 500, statuses
+
+    def test_concurrent_histories(self, monkeypatch):
+        corpus = (
+            (seed, support.random_concurrent_history(seed)) for seed in range(600)
+        )
+        statuses = self._agrees(monkeypatch, corpus)
+        assert statuses["opaque"] >= 10 and statuses["not_opaque"] > 500, statuses
+
+    def test_long_replayed_histories(self, monkeypatch):
+        corpus = [
+            (n, replay(support.long_replay_script(seed, n)))
+            for seed, n in enumerate((200, 400, 700, 1000), start=1)
+        ]
+        assert self._agrees(monkeypatch, corpus)["not_opaque"] == len(corpus)
 
 
 class TestMvRule:
