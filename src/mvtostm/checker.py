@@ -48,9 +48,11 @@ above in stream form: legality is the predecessor fact (a read returns
 the newest committed version below the reader, and a commit finds no
 reader above it of its predecessor's version), equivalence is a line
 count, and real time holds when no larger id terminated before a
-transaction began. Its witness is the input's own lines regrouped by
-id. opacity-check builds events and calls check_with_order or
-check_auto only when it declines.
+transaction began. A line costs one str.split: the canonical ids have no
+leading zero, so a transaction is keyed by its id's text, and int()
+runs once per transaction. Its witness is the input's own lines
+regrouped by id. opacity-check builds events and calls check_with_order
+or check_auto only when it declines.
 
 check_with_order decides one order: the gate when the order is
 ascending and it passes, the peel otherwise. check_auto decides the
@@ -683,7 +685,9 @@ def certify_text(text: str) -> tuple[VersionOrder, str] | None:
     """The timestamp order and the text of the ascending serialization,
     when that serialization certifies the history text; otherwise None.
 
-    It decides in one pass over the lines. Whenever it answers, parse
+    It decides in one pass over the lines, each split on its spaces
+    once; a transaction's id becomes an int at its first line and its
+    lines are keyed by the id's text. Whenever it answers, parse
     and then check_with_order or check_auto would call the history
     opaque under this order, one order tried, with this witness: each
     transaction's lines in ascending id, and "a <id>" after a live one's.
@@ -713,46 +717,59 @@ def certify_text(text: str) -> tuple[VersionOrder, str] | None:
         lines += 1
     if len(found) != lines:
         return None
-    groups: dict[int, list[str]] = {}  # each transaction's lines, in order
+    # per transaction, keyed by its id's text (canonical ids have no
+    # leading zero, so the text is unique): its id, the kinds its next
+    # line may have by the shape rule, then its lines in order
+    groups: dict[str, list] = {}
     # per object: each committed value's version, and the committed
     # writers ascending, T0 first, beside their versions; a version is a
     # one-slot list holding the largest id that read it
     objects: dict[str, tuple[dict[str, list[int]], list[int], list[list[int]]]] = {}
-    staged: dict[int, dict[str, str]] = {}  # last value written per object
+    staged: dict[str, dict[str, str]] = {}  # last value written per object
     done = 0  # the largest id terminated so far
-    for line, rw, rw_tx, obj, value, other, other_tx in found:
-        kind = rw or other
-        tx = int(rw_tx or other_tx)
-        group = groups.get(tx)
+    for line in found:
+        fields = line.split(" ")
+        kind = fields[0]
+        group = groups.get(fields[1])
         if group is None:
+            tx = int(fields[1])
             if done > tx:
                 return None
-            groups[tx] = [line]
+            groups[fields[1]] = group = [tx, "", line]
+        elif kind not in group[1]:
+            return None
         else:
-            before = group[-1][0]
-            if before in TERMINALS or kind == BEGIN or (kind == READ and before == WRITE):
-                return None
             group.append(line)
-        if rw:
+            tx = group[0]
+        if kind == READ:
+            group[1] = "rwca"
+            obj = fields[2]
             versions = objects.get(obj)
             if versions is None:
                 initial = [0]
                 versions = objects[obj] = ({"0": initial}, [T0], [initial])
-            if kind == READ:
-                # the value's version is committed, and it is the newest
-                # committed below tx; a value with no version is not one
-                by_value, writers, by_writer = versions
-                read = by_value.get(value)
-                if by_writer[bisect(writers, tx) - 1] is not read:
-                    return None
-                if read[0] < tx:
-                    read[0] = tx
-            else:
-                staged.setdefault(tx, {})[obj] = value
-        elif kind != BEGIN:
+            # the value's version is committed, and it is the newest
+            # committed below tx; a value with no version is not one
+            by_value, writers, by_writer = versions
+            read = by_value.get(fields[3])
+            if by_writer[bisect(writers, tx) - 1] is not read:
+                return None
+            if read[0] < tx:
+                read[0] = tx
+        elif kind == WRITE:
+            group[1] = "wca"
+            obj = fields[2]
+            if obj not in objects:
+                initial = [0]
+                objects[obj] = ({"0": initial}, [T0], [initial])
+            staged.setdefault(fields[1], {})[obj] = fields[3]
+        elif kind == BEGIN:
+            group[1] = "rwca"
+        else:
+            group[1] = ""
             if done < tx:
                 done = tx
-            writes = staged.pop(tx, None)
+            writes = staged.pop(fields[1], None)
             if kind == COMMIT and writes:
                 for obj, value in writes.items():
                     by_value, writers, by_writer = objects[obj]
@@ -764,7 +781,7 @@ def certify_text(text: str) -> tuple[VersionOrder, str] | None:
                     by_value[value] = version = [0]
                     writers.insert(at, tx)
                     by_writer.insert(at, version)
-    live = sum(group[-1][0] not in TERMINALS for group in groups.values())
+    live = sum(1 for group in groups.values() if group[1])
     witness = _regrouped(groups)
     if len(witness) != lines + live:
         raise InvariantViolation("emitted serialization lost or changed events")
@@ -772,15 +789,15 @@ def certify_text(text: str) -> tuple[VersionOrder, str] | None:
     return order, ("\n".join(witness) + "\n" if witness else "")
 
 
-def _regrouped(groups: dict[int, list[str]]) -> list[str]:
+def _regrouped(groups: dict[str, list]) -> list[str]:
     """Each transaction's lines in ascending id, with "a <id>" after the
-    lines of each one that has not terminated."""
+    lines of each one that has not terminated; a group holds the id, the
+    kinds its next line may have (none after a terminal), then the lines."""
     out: list[str] = []
-    for tx in sorted(groups):
-        group = groups[tx]
-        out += group
-        if group[-1][0] not in TERMINALS:
-            out.append(f"{ABORT} {tx}")
+    for group in sorted(groups.values()):
+        out += itertools.islice(group, 2, None)
+        if group[1]:
+            out.append(f"{ABORT} {group[0]}")
     return out
 
 

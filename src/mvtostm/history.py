@@ -145,11 +145,11 @@ class History:
         return "\n".join(map(Event.line, self.events)) + "\n"
 
 
-# A line exactly as Event.line writes it, under parse's integer rule: the
-# whole line, then a read's or write's kind, id, object and value, then a
-# b, c or a line's kind and id. An object holds no whitespace and no "#".
+# A line exactly as Event.line writes it, under parse's integer rule. An
+# object holds no whitespace and no "#". The pattern has no groups, so
+# findall returns the matching lines themselves.
 CANONICAL_LINES = re.compile(
-    r"^(([rw]) ([1-9][0-9]*) ([^\s#]+) (0|-?[1-9][0-9]*)|([bca]) ([1-9][0-9]*))$",
+    r"^(?:[rw] [1-9][0-9]* [^\s#]+ (?:0|-?[1-9][0-9]*)|[bca] [1-9][0-9]*)$",
     re.MULTILINE,
 )
 

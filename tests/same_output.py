@@ -1,22 +1,30 @@
 """Compare opacity-check's output here with another checkout's.
 
-    python -m tests.same_output OTHER_CHECKOUT
+    python -m tests.same_output OTHER_CHECKOUT [--python INTERPRETER]
 
 It writes the check-large and check-exhaustive inputs of seeds 1-10
 with perfbench.workloads' write_inputs into a temporary directory, then
 runs `opacity-check FILE --emit-witness`, with and without `--order ts`,
 on every input: 10,040 inputs, 20,080 calls. Each checkout runs every
-call in one subprocess that imports its own src/. It prints the number
-of calls whose stdout, stderr and exit status are identical, and the
-first mismatch. It exits 0 when every call matches, 1 otherwise.
+call in one subprocess that imports its own src/: this checkout under
+the interpreter running the tool, OTHER_CHECKOUT under INTERPRETER
+(by default the same one). It prints the number of calls whose stdout,
+stderr and exit status are identical, and the first mismatch. It exits
+0 when every call matches, 1 otherwise.
 
 A change that must keep checker output identical shows it with this
-against its parent. It uses the standard library only, and pytest does
-not collect it.
+against its parent. Passing this checkout itself as OTHER_CHECKOUT and
+the oldest supported Python as INTERPRETER, which needs no pytest,
+shows that the output does not depend on the interpreter:
+
+    python -m tests.same_output . --python python3.10
+
+It uses the standard library only, and pytest does not collect it.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -58,10 +66,10 @@ with open(sys.argv[2], "w", encoding="utf-8") as f:
 """
 
 
-def _python(code: str, pythonpath: list[Path], *args: str) -> str:
+def _python(python: str, code: str, pythonpath: list[Path], *args: str) -> str:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, pythonpath))}
     done = subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [python, "-c", code, *args],
         cwd=ROOT, env=env, capture_output=True, text=True, check=False,
     )
     if done.returncode != 0:
@@ -69,8 +77,8 @@ def _python(code: str, pythonpath: list[Path], *args: str) -> str:
     return done.stdout
 
 
-def _calls(checkout: Path, paths_file: Path, out_file: Path) -> list:
-    _python(RUN, [checkout / "src"], str(paths_file), str(out_file))
+def _calls(python: str, checkout: Path, paths_file: Path, out_file: Path) -> list:
+    _python(python, RUN, [checkout / "src"], str(paths_file), str(out_file))
     with open(out_file, encoding="utf-8") as f:
         return json.load(f)
 
@@ -83,20 +91,30 @@ def _first_difference(a: str, b: str) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1 or not (Path(argv[0]) / "src").is_dir():
-        print("usage: python -m tests.same_output OTHER_CHECKOUT", file=sys.stderr)
-        return 2
-    other = Path(argv[0]).resolve()
+    ap = argparse.ArgumentParser(
+        prog="python -m tests.same_output",
+        description=__doc__.split("\n")[0],
+    )
+    ap.add_argument("other", metavar="OTHER_CHECKOUT", type=Path, help="a tree with a src/ directory")
+    ap.add_argument(
+        "--python",
+        metavar="INTERPRETER",
+        default=sys.executable,
+        help="the interpreter that runs OTHER_CHECKOUT's calls (default: this one)",
+    )
+    args = ap.parse_args(argv)
+    if not (args.other / "src").is_dir():
+        ap.error(f"{args.other} has no src/ directory")
+    other = args.other.resolve()
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        paths = _python(GENERATE, [ROOT / "src", ROOT], str(work / "inputs"))
+        paths = _python(sys.executable, GENERATE, [ROOT / "src", ROOT], str(work / "inputs"))
         paths_file = work / "paths.txt"
         paths_file.write_text(paths, encoding="utf-8")
-        here = _calls(ROOT, paths_file, work / "here.json")
-        there = _calls(other, paths_file, work / "there.json")
+        here = _calls(sys.executable, ROOT, paths_file, work / "here.json")
+        there = _calls(args.python, other, paths_file, work / "there.json")
     same = sum(a == b for a, b in zip(here, there))
-    print(f"{same} of {len(here)} calls identical ({len(there)} in {other})")
+    print(f"{same} of {len(here)} calls identical ({len(there)} in {other} under {args.python})")
     for a, b in zip(here, there):
         if a != b:
             print("first mismatch: opacity-check " + " ".join(a[0]))

@@ -11,7 +11,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 import threading
+from bisect import bisect
 from collections import defaultdict
 from heapq import heapify, heappop, heappush
 
@@ -425,6 +427,90 @@ def tuple_equivalent(h1: History, h2: History) -> bool:
         return per
 
     return by_tx(h1) == by_tx(h2)
+
+
+# A line exactly as Event.line writes it, with groups: the whole line,
+# then a read's or write's kind, id, object and value, then a b, c or a
+# line's kind and id.
+_REFERENCE_CANONICAL_LINES = re.compile(
+    r"^(([rw]) ([1-9][0-9]*) ([^\s#]+) (0|-?[1-9][0-9]*)|([bca]) ([1-9][0-9]*))$",
+    re.MULTILINE,
+)
+
+
+def reference_certify_text(text: str) -> tuple[dict, str] | None:
+    """checker.certify_text as it was: a seven-group line pattern, int()
+    on every line's id, and per-transaction state keyed by that int. A
+    differential test holds the current body to the same answers."""
+    found = _REFERENCE_CANONICAL_LINES.findall(text)
+    lines = text.count("\n")
+    if text and not text.endswith("\n"):
+        lines += 1
+    if len(found) != lines:
+        return None
+    groups: dict[int, list[str]] = {}  # each transaction's lines, in order
+    # per object: each committed value's version, and the committed
+    # writers ascending, T0 first, beside their versions; a version is a
+    # one-slot list holding the largest id that read it
+    objects: dict[str, tuple[dict[str, list[int]], list[int], list[list[int]]]] = {}
+    staged: dict[int, dict[str, str]] = {}  # last value written per object
+    done = 0  # the largest id terminated so far
+    for line, rw, rw_tx, obj, value, other, other_tx in found:
+        kind = rw or other
+        tx = int(rw_tx or other_tx)
+        group = groups.get(tx)
+        if group is None:
+            if done > tx:
+                return None
+            groups[tx] = [line]
+        else:
+            before = group[-1][0]
+            if before in TERMINALS or kind == BEGIN or (kind == READ and before == WRITE):
+                return None
+            group.append(line)
+        if rw:
+            versions = objects.get(obj)
+            if versions is None:
+                initial = [0]
+                versions = objects[obj] = ({"0": initial}, [0], [initial])
+            if kind == READ:
+                # the value's version is committed, and it is the newest
+                # committed below tx; a value with no version is not one
+                by_value, writers, by_writer = versions
+                read = by_value.get(value)
+                if by_writer[bisect(writers, tx) - 1] is not read:
+                    return None
+                if read[0] < tx:
+                    read[0] = tx
+            else:
+                staged.setdefault(tx, {})[obj] = value
+        elif kind != BEGIN:
+            if done < tx:
+                done = tx
+            writes = staged.pop(tx, None)
+            if kind == COMMIT and writes:
+                for obj, value in writes.items():
+                    by_value, writers, by_writer = objects[obj]
+                    at = bisect(writers, tx)
+                    # a duplicate value, or a reader above tx that read the
+                    # version of tx's predecessor
+                    if value in by_value or by_writer[at - 1][0] > tx:
+                        return None
+                    by_value[value] = version = [0]
+                    writers.insert(at, tx)
+                    by_writer.insert(at, version)
+    live = sum(group[-1][0] not in TERMINALS for group in groups.values())
+    # the lines regrouped in ascending id, "a <id>" after a live one's
+    witness: list[str] = []
+    for tx in sorted(groups):
+        group = groups[tx]
+        witness += group
+        if group[-1][0] not in TERMINALS:
+            witness.append(f"{ABORT} {tx}")
+    if len(witness) != lines + live:
+        raise InvariantViolation("emitted serialization lost or changed events")
+    order = {obj: tuple(versions[1]) for obj, versions in objects.items()}
+    return order, ("\n".join(witness) + "\n" if witness else "")
 
 
 # ------------------------------------------------------------------ oracles

@@ -1195,3 +1195,108 @@ class TestCertifyText:
         monkeypatch.setattr(checker, "_regrouped", faulty)
         with pytest.raises(InvariantViolation, match="lost or changed events"):
             certify_text(support.REFERENCE_REPLAYED)
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+def _set_token(slot: int, make):
+    """A line mutation that replaces token slot by make(token); it applies
+    to lines that have that token."""
+
+    def mutate(tokens: list[str]) -> str | None:
+        if slot >= len(tokens):
+            return None
+        tokens = list(tokens)
+        tokens[slot] = make(tokens[slot])
+        return " ".join(tokens)
+
+    return mutate
+
+
+def _leading_zero(token: str) -> str:
+    return "-0" + token[1:] if token.startswith("-") else "0" + token
+
+
+# Each rewrites one canonical line, or returns None where it does not
+# apply; a line that becomes two is one string with a newline inside.
+# All but the last break the canonical spelling; the last breaks the
+# shape, as a begin that does not come first.
+LINE_MUTATIONS = {
+    "leading-zero id": _set_token(1, _leading_zero),
+    "leading-zero value": _set_token(3, _leading_zero),
+    "-0 id": _set_token(1, lambda _: "-0"),
+    "-0 value": _set_token(3, lambda _: "-0"),
+    "+ id": _set_token(1, lambda t: "+" + t),
+    "+5 value": _set_token(3, lambda _: "+5"),
+    "non-ASCII digits in id": _set_token(1, lambda t: t.translate(_ARABIC_INDIC)),
+    "non-ASCII digits in value": _set_token(3, lambda t: t.translate(_ARABIC_INDIC)),
+    "tab": lambda tokens: "\t".join(tokens),
+    "double space": lambda tokens: "  ".join(tokens),
+    "trailing space": lambda tokens: " ".join(tokens) + " ",
+    "CRLF": lambda tokens: " ".join(tokens) + "\r",
+    "blank line before": lambda tokens: "\n" + " ".join(tokens),
+    "comment line before": lambda tokens: "# c\n" + " ".join(tokens),
+    "trailing comment": lambda tokens: " ".join(tokens) + " # c",
+    "NEL in object": _set_token(2, lambda t: t[:1] + "\x85" + t[1:]),
+    "no-break space in object": _set_token(2, lambda t: t[:1] + "\u00a0" + t[1:]),
+    "missing field": lambda tokens: " ".join(tokens[:-1]),
+    "unknown kind": lambda tokens: " ".join(["q", *tokens[1:]]),
+    "begin after": lambda tokens: " ".join(tokens) + f"\nb {tokens[1]}",
+}
+
+
+def _mutated(text: str):
+    """(name, text) for every LINE_MUTATIONS entry applied at the first,
+    a middle and the last line it applies to, then the text without its
+    final newline."""
+    lines = text.splitlines()
+    for name, mutate in LINE_MUTATIONS.items():
+        spots = [(i, m) for i, line in enumerate(lines) if (m := mutate(line.split(" ")))]
+        for i, line in (spots[0], spots[len(spots) // 2], spots[-1]) if spots else ():
+            yield f"{name} at line {i + 1}", "\n".join([*lines[:i], line, *lines[i + 1:]]) + "\n"
+    yield "no final newline", text[:-1]
+
+
+class TestCertifyTextAgainstReference:
+    """certify_text gives support.reference_certify_text's answer, None or
+    the same order and witness, on canonical texts and on texts that
+    break the canonical spelling or the shape at one line."""
+
+    @staticmethod
+    def _agrees(texts) -> int:
+        certified = 0
+        for name, text in texts:
+            got = certify_text(text)
+            assert got == support.reference_certify_text(text), name
+            certified += got is not None
+        return certified
+
+    def test_golden_inputs(self):
+        # among them the 600 random_concurrent_history seeds
+        texts = [(name, h.serialize()) for name, h in golden.inputs()]
+        texts += [(name, getattr(support, name)) for name in ("REFERENCE_TEXT", "REFERENCE_REPLAYED")]
+        texts.append(("empty text", ""))
+        assert self._agrees(texts) > 1000
+
+    def test_long_replayed_histories(self):
+        texts = [
+            (n, replay(support.long_replay_script(seed, n)).serialize())
+            for seed, n in enumerate((200, 500, 800, 1200), start=1)
+        ]
+        assert self._agrees(texts) == len(texts)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            support.REFERENCE_REPLAYED,
+            replay(support.long_replay_script(1, 200)).serialize(),
+            support.random_concurrent_history(3).serialize(),
+        ],
+    )
+    def test_mutated_lines(self, text):
+        mutated = list(_mutated(text))
+        names = {name.split(" at line")[0] for name, _ in mutated}
+        assert names == {*LINE_MUTATIONS, "no final newline"}
+        # only the text without its final newline can still be certified
+        assert self._agrees(mutated) == (certify_text(text) is not None)

@@ -157,6 +157,31 @@ class TestParse:
                 round_trips = event.line() == line
             assert bool(CANONICAL_LINES.fullmatch(line)) == round_trips, line
 
+    @given(
+        st.lists(
+            st.one_of(
+                st.builds(
+                    Event,
+                    st.sampled_from("rw"),
+                    st.integers(min_value=1),
+                    # an object as parse reads it: no whitespace, no "#"
+                    st.text(min_size=1, max_size=4).filter(
+                        lambda s: not any(c.isspace() or c == "#" for c in s)
+                    ),
+                    st.integers(),
+                ),
+                st.builds(Event, st.sampled_from("bca"), st.integers(min_value=1)),
+            ),
+            max_size=12,
+        )
+    )
+    def test_canonical_lines_finds_each_written_line(self, events):
+        # the pattern has no groups, so findall returns the lines themselves
+        lines = [e.line() for e in events]
+        text = "".join(line + "\n" for line in lines)
+        assert CANONICAL_LINES.findall(text) == lines
+        assert CANONICAL_LINES.findall(text.rstrip("\n")) == lines
+
     def test_a_bad_line_outranks_an_earlier_shape_violation(self):
         # every line is read before the shape is judged
         with pytest.raises(HistoryFormatError) as err:
