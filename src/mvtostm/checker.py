@@ -24,27 +24,17 @@ builds the completion.
 
 One engine decides every version order. The rt, rf and T0 edges are
 per-vertex bit sets, built in one sweep of the events; a version order
-adds its mv edges to them, and one Kahn peel, ties broken by ascending
-id, yields the topological order or leaves the vertices on or after a
-cycle, from which one rule extracts the cycle. build_graph and
+adds its mv edges to them, as one predecessor bit set per version from
+one sweep of each object's order, and one Kahn peel, ties broken by
+ascending id, yields the topological order or leaves the vertices on or
+after a cycle, from which one rule extracts the cycle. Every fixed order
+takes that one path, then the witness checks. build_graph and
 topological_order give the same graph and the same answer as labelled
 edge sets, and topological_order runs the same peel.
 
-When the version order lists every object's writers in ascending id,
-as the timestamp order does, an exact gate first asks whether the
-ascending serialization itself, T0 then every transaction by id, would
-pass the witness checks: every read returns the newest committed writer
-below its reader, and no larger id terminated before a transaction's
-first event. The gate reads only the history as given and costs one
-pass over the events and one dictionary lookup per read. When it
-passes, every edge of the graph runs from a lower id to a higher one,
-so the ascending order is exactly the topological order the peel would
-yield, and no edge is built. This is the common case on MVTO histories,
-where timestamp order is the witness. A call asks the gate at most once.
-
 Text comes first. certify_text reads a history's text in one pass and
-decides whether the ascending serialization certifies it, the check
-above in stream form: legality is the predecessor fact (a read returns
+decides whether the ascending serialization, T0 then every transaction
+by id, certifies it: legality is the predecessor fact (a read returns
 the newest committed version below the reader, and a commit finds no
 reader above it of its predecessor's version), equivalence is a line
 count, and real time holds when no larger id terminated before a
@@ -54,8 +44,7 @@ runs once per transaction. Its witness is the input's own lines
 regrouped by id. opacity-check builds events and calls check_with_order
 or check_auto only when it declines.
 
-check_with_order decides one order: the gate when the order is
-ascending and it passes, the peel otherwise. check_auto decides the
+check_with_order decides one order by its peel. check_auto decides the
 timestamp order that way first. When that order is cyclic, one walk
 decides every order, in product order: objects sorted, each object's
 writers through their permutations in lexicographic order, ascending
@@ -255,26 +244,36 @@ class OpacityGraph:
         return {(u, v) for u, v, lab in self.edges if lab == label}
 
 
-def _mv_pairs(reads, seq) -> list[tuple[int, int]]:
-    """Version-order constraints from one object's reads, as (from, to)
-    pairs.
+def _mv_masks(reads, seq) -> list[tuple[int, int]]:
+    """Version-order constraints from one object's reads, as (vertex,
+    predecessor bit set) entries, one per constrained vertex, in one
+    sweep of its version order: O(reads + writers) mask operations.
 
     reads holds (reader, writer) pairs and seq the object's committed
-    writers in version order, all in one labelling of the vertices. For
-    a read of j by k and any other writer i: if i's version is ordered
-    before j's, i must serialize before j; otherwise the reader k must
-    serialize before i. The writer that was read and the reader itself
-    impose nothing on themselves.
+    writers in version order, all as vertex indices. The rule: for a
+    read of j by k and any other writer i but k, i serializes before j
+    when i's version is ordered before j's, and k serializes before i
+    otherwise. Per vertex, a writer w follows the readers of every
+    earlier version but itself, and a version that was read follows
+    every earlier writer but its reader, when it has exactly one
+    distinct reader. A second reader's read puts the first before the
+    version too, when the first is an earlier writer.
     """
-    pairs = []
+    readers: dict[int, int] = {}
     for k, j in reads:
-        older = True  # i's version comes before j's
-        for i in seq:
-            if i == j:
-                older = False
-            elif i != k:
-                pairs.append((i, j) if older else (k, i))
-    return pairs
+        readers[j] = readers.get(j, 0) | 1 << k
+    masks = []
+    older = earlier_readers = 0  # bits of the writers and readers so far
+    for w in seq:
+        mask = earlier_readers & ~(1 << w)
+        read = readers.get(w, 0)
+        if read:
+            mask |= older if read & (read - 1) else older & ~read
+            earlier_readers |= read
+        if mask:
+            masks.append((w, mask))
+        older |= 1 << w
+    return masks
 
 
 class _Projection(NamedTuple):
@@ -282,7 +281,6 @@ class _Projection(NamedTuple):
     reads: dict[str, list[tuple[int, int]]]  # per object, (reader, writer)
     ambiguous: ValueError | None  # what reading reads raises
     vertices: frozenset[int]  # T0 and every transaction
-    in_time: bool  # no larger id terminated before a transaction began
 
 
 class _Analysis:
@@ -290,9 +288,9 @@ class _Analysis:
     check tries.
 
     Completion only appends aborts, so writes, reads and vertices come
-    from the history as given. The rest is built on first use: a history
-    certified by its ascending serialization never pays for the edges,
-    and only a witness builds the completion.
+    from the history as given. The rest is built on first use: an
+    invalid read stops a check before any bit set is built, and only a
+    witness builds the completion.
     """
 
     def __init__(self, history: History):
@@ -317,14 +315,9 @@ class _Analysis:
         invalid = ambiguous = None
         committed = {T0}
         seen = {T0}
-        top = T0  # the largest id terminated so far
-        in_time = True
         for e in self.history.events:
             kind, tx, obj, value = e
-            if tx not in seen:
-                seen.add(tx)
-                if top > tx:
-                    in_time = False
+            seen.add(tx)
             if kind == READ:
                 writers = index[obj].get(value)
                 if writers is None:
@@ -339,12 +332,9 @@ class _Analysis:
                     continue
                 if invalid is None and writer not in committed:
                     invalid = e
-            elif kind in TERMINALS:
-                if kind == COMMIT:
-                    committed.add(tx)
-                if tx > top:
-                    top = tx
-        return _Projection(invalid, reads, ambiguous, frozenset(seen), in_time)
+            elif kind == COMMIT:
+                committed.add(tx)
+        return _Projection(invalid, reads, ambiguous, frozenset(seen))
 
     @property
     def invalid(self) -> Event | None:
@@ -381,27 +371,6 @@ class _Analysis:
                 if j != k:
                     static.add((j, k, RF))
         return frozenset(static)
-
-    def ascending_certifies(self, ascending: VersionOrder) -> bool:
-        """Whether the ascending serialization passes the witness checks,
-        decided without building it; ascending is the timestamp order.
-
-        That serialization is T0, then every transaction by id. Its read
-        by k returns the value of the newest committed writer below k, so
-        it is legal iff every read's writer j is that one: j is below k,
-        and the next writer above j is not. It keeps real time iff no
-        larger id terminated before a transaction's first event, which
-        the projection pass records. Both read only the history as given.
-        """
-        if not self._projection.in_time:
-            return False
-        for obj, reads in self.reads.items():
-            seq = ascending[obj]
-            following = dict(zip(seq, seq[1:]))
-            for k, j in reads:
-                if not j < k <= following.get(j, k):
-                    return False
-        return True
 
     @cached_property
     def static_masks(self) -> tuple[list[int], dict[int, int], list[int], list[int]]:
@@ -443,6 +412,16 @@ class _Analysis:
                     rf[index[k]] |= 1 << index[j]
         return vertex, index, rt, rf
 
+    @cached_property
+    def indexed_reads(self) -> dict[str, list[tuple[int, int]]]:
+        """Per object, the reads as (reader, writer) vertex indices of
+        static_masks."""
+        index = self.static_masks[1]
+        return {
+            obj: [(index[k], index[j]) for k, j in reads]
+            for obj, reads in self.reads.items()
+        }
+
     def validate_order(self, order: VersionOrder) -> None:
         want = {obj: set(ws) for obj, ws in self.writes.items()}
         if set(order) != set(want):
@@ -464,8 +443,12 @@ def build_graph(history: History, order: VersionOrder) -> OpacityGraph:
     analysis = _Analysis(history)
     analysis.validate_order(order)
     edges = set(analysis.static_edges)
+    vertex = sorted(analysis.vertices)
+    index = {v: i for i, v in enumerate(vertex)}
     for obj, seq in order.items():
-        edges.update((u, v, MV) for u, v in _mv_pairs(analysis.reads.get(obj, ()), seq))
+        reads = [(index[k], index[j]) for k, j in analysis.reads.get(obj, ())]
+        for v, mask in _mv_masks(reads, [index[w] for w in seq]):
+            edges.update((vertex[u], vertex[v], MV) for u in _bits(mask))
     return OpacityGraph(analysis.vertices, frozenset(edges))
 
 
@@ -637,30 +620,24 @@ def _invalid(bad: Event) -> Verdict:
 
 
 def _order_verdict(analysis: _Analysis, order: VersionOrder, tested: int = 1) -> Verdict:
-    """Decide under one valid version order: the ascending serialization
-    when the order is ascending and the gate passes, the peel of the
-    order's graph otherwise; the verdict reports tested orders."""
-    if all(list(seq) == sorted(seq) for seq in order.values()) and (
-        analysis.ascending_certifies(order)
-    ):
-        topo = sorted(analysis.vertices)
-    else:
-        # the rt, rf and T0 bit sets plus the order's mv pairs, by index
-        vertex, index, rt, rf = analysis.static_masks
-        preds = [a | b for a, b in zip(rt, rf)]
-        for obj, seq in order.items():
-            reads = [(index[k], index[j]) for k, j in analysis.reads.get(obj, ())]
-            for u, v in _mv_pairs(reads, [index[w] for w in seq]):
-                preds[v] |= 1 << u
-        topo, cycle = _peel(vertex, preds)
-        if topo is None:
-            return Verdict(
-                "not_opaque",
-                order=dict(order),
-                cycle=cycle,
-                detail="under the supplied version order",
-                orders_tested=tested,
-            )
+    """Decide under one valid version order by peeling its graph, the
+    rt, rf and T0 bit sets plus the order's mv masks; the witness checks
+    then certify an acyclic result. The verdict reports tested orders."""
+    vertex, index, rt, rf = analysis.static_masks
+    preds = [a | b for a, b in zip(rt, rf)]
+    reads = analysis.indexed_reads
+    for obj, seq in order.items():
+        for v, mask in _mv_masks(reads.get(obj, ()), [index[w] for w in seq]):
+            preds[v] |= mask
+    topo, cycle = _peel(vertex, preds)
+    if topo is None:
+        return Verdict(
+            "not_opaque",
+            order=dict(order),
+            cycle=cycle,
+            detail="under the supplied version order",
+            orders_tested=tested,
+        )
     s, failure = _witness(analysis, topo)
     if failure is not None:
         raise InvariantViolation(failure)
@@ -669,8 +646,9 @@ def _order_verdict(analysis: _Analysis, order: VersionOrder, tested: int = 1) ->
 
 def check_with_order(history: History, order: VersionOrder | None = None) -> Verdict:
     """Decide opacity under one fixed version order, by default the
-    timestamp order; UsageError if a given order does not list exactly
-    each object's committed writers."""
+    timestamp order, by peeling its graph; UsageError if a given order
+    does not list exactly each object's committed writers, or if an
+    event follows its transaction's terminal."""
     analysis = _Analysis(history)
     if analysis.invalid is not None:
         return _invalid(analysis.invalid)
@@ -828,14 +806,23 @@ def _closure(rt: list[int], rf: list[int]) -> list[int]:
     return above
 
 
-def _extended(above: list[int], pairs) -> list[int] | None:
-    """A copy of the closure above with pairs added, or None when one of
-    them closes a cycle."""
+def _extended(above: list[int], masks) -> list[int] | None:
+    """A copy of the closure above with the mv masks added, each a
+    vertex and the bit set of its new predecessors, or None when one
+    closes a cycle.
+
+    A simple cycle through the new edges of one vertex v enters v once,
+    so one mask closes a cycle iff v reaches one of its predecessors.
+    Otherwise v and every vertex v reaches gain those predecessors and
+    what reaches them.
+    """
     above = above.copy()
-    for u, v in pairs:
-        if above[u] >> v & 1:
-            return None
-        gain = above[u] | 1 << u
+    for v, mask in masks:
+        gain = mask
+        for u in _bits(mask):
+            if above[u] >> v & 1:
+                return None
+            gain |= above[u]
         if above[v] & gain == gain:
             continue
         bit = 1 << v
@@ -847,7 +834,7 @@ def _extended(above: list[int], pairs) -> list[int] | None:
 
 def _choices(writers: list[int], reads: list[tuple[int, int]]):
     """An object's version orders the search tries: (rank, permutation,
-    mv pairs) for each permutation of writers, ascending, that puts T0
+    mv masks) for each permutation of writers, ascending, that puts T0
     first, by rank; only the first when no one reads the object.
 
     With T0 = writers[0] first, these are exactly the first (k-1)! of
@@ -863,7 +850,7 @@ def _choices(writers: list[int], reads: list[tuple[int, int]]):
     head, *rest = writers
     for i, tail in enumerate(itertools.permutations(rest)):
         perm = (head, *tail)
-        yield i, perm, _mv_pairs(reads, perm)
+        yield i, perm, _mv_masks(reads, perm)
         if not reads:
             return
 
@@ -882,20 +869,18 @@ def _first_acyclic(analysis: _Analysis) -> tuple[VersionOrder, int] | None:
     the walk chooses it, so memory stays that of one path. Edges only
     accumulate along a prefix, so a prefix whose edges close a cycle is
     skipped with every completion. The walk permutes vertex indices, so
-    an order's constraints come out as index pairs.
+    an order's constraints come out as masks over them.
     """
     vertex, index, rt, rf = analysis.static_masks
     root = _closure(rt, rf)
     objs = sorted(analysis.writes)
+    reads = analysis.indexed_reads
     # per object, its choices by vertex index as a tee, which keeps what
-    # it produced: every copy replays them, and each one's pairs are
+    # it produced: every copy replays them, and each one's masks are
     # built once
     choices = [
         itertools.tee(
-            _choices(
-                [index[w] for w in sorted(analysis.writes[obj])],
-                [(index[k], index[j]) for k, j in analysis.reads.get(obj, ())],
-            ),
+            _choices([index[w] for w in sorted(analysis.writes[obj])], reads.get(obj, ())),
             1,
         )[0]
         for obj in objs
@@ -907,11 +892,11 @@ def _first_acyclic(analysis: _Analysis) -> tuple[VersionOrder, int] | None:
     stack = [(root, (), 0, choices[0].__copy__())]
     while stack:
         above, prefix, rank, perms = stack[-1]
-        i, perm, pairs = next(perms, _DONE)
+        i, perm, masks = next(perms, _DONE)
         if perm is None:
             stack.pop()
             continue
-        extended = _extended(above, pairs) if pairs else above
+        extended = _extended(above, masks) if masks else above
         if extended is None:
             continue
         d = len(prefix)
@@ -929,14 +914,13 @@ def check_auto(history: History, budget: int = DEFAULT_BUDGET) -> Verdict:
     the same function.
 
     The timestamp order goes first, decided as check_with_order decides
-    it: when the ascending serialization certifies it, as on MVTO
-    histories, nothing else is built. When its peel leaves a cycle, one
-    walk tries every order, object by object, skipping the completions
-    of every cyclic prefix. Only the order found is then peeled and
-    gets a witness; when none is found, the timestamp order's cycle is
-    the verdict's. The search never guesses: when the candidate count
-    exceeds the budget, only the timestamp order is tried, and the
-    verdict is undecided rather than wrong when it fails.
+    it, by its peel. When the peel leaves a cycle, one walk tries every
+    order, object by object, skipping the completions of every cyclic
+    prefix. Only the order found is then peeled and gets a witness; when
+    none is found, the timestamp order's cycle is the verdict's. The
+    search never guesses: when the candidate count exceeds the budget,
+    only the timestamp order is tried, and the verdict is undecided
+    rather than wrong when it fails.
     """
     analysis = _Analysis(history)
     if analysis.invalid is not None:
@@ -958,7 +942,6 @@ def check_auto(history: History, budget: int = DEFAULT_BUDGET) -> Verdict:
             detail=f"no version order yields an acyclic graph ({total} tried)",
             orders_tested=total,
         )
-    # the timestamp order is cyclic, so the order found is not ascending
     order, rank = found
     verdict = _order_verdict(analysis, order, rank)
     if not verdict.opaque:

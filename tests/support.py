@@ -766,13 +766,35 @@ def _reference_extract_cycle(remaining: set[int], pred) -> list[int]:
         cur = nxt
 
 
+def reference_mv_pairs(reads, seq) -> list[tuple[int, int]]:
+    """The mv rule as one (from, to) pair per constraint, O(reads x
+    writers), as the checker had it before per-version masks.
+
+    reads holds (reader, writer) pairs and seq the object's committed
+    writers in version order, all in one labelling of the vertices. For
+    a read of j by k and any other writer i: if i's version is ordered
+    before j's, i must serialize before j; otherwise the reader k must
+    serialize before i. The writer that was read and the reader itself
+    impose nothing on themselves.
+    """
+    pairs = []
+    for k, j in reads:
+        older = True  # i's version comes before j's
+        for i in seq:
+            if i == j:
+                older = False
+            elif i != k:
+                pairs.append((i, j) if older else (k, i))
+    return pairs
+
+
 def reference_graph_verdict(analysis, order, tested: int = 1) -> Verdict:
     """Decide under one valid version order by building its labelled
     graph, real_time_pairs included, and sorting it with
     reference_topological_order; the verdict reports tested orders."""
     edges = set(analysis.static_edges)
     for obj, seq in order.items():
-        pairs = checker._mv_pairs(analysis.reads.get(obj, ()), seq)
+        pairs = reference_mv_pairs(analysis.reads.get(obj, ()), seq)
         edges.update((u, v, checker.MV) for u, v in pairs)
     graph = checker.OpacityGraph(analysis.vertices, frozenset(edges))
     topo, cycle = reference_topological_order(graph)
@@ -791,8 +813,8 @@ def reference_graph_verdict(analysis, order, tested: int = 1) -> Verdict:
 
 
 def check_with_graph(history: History, order) -> Verdict:
-    """check_with_order without the ascending shortcut: always builds the
-    graph, through reference_graph_verdict."""
+    """check_with_order decided by the labelled graph, through
+    reference_graph_verdict."""
     bad = invalid_read(history)
     if bad is not None:
         return checker._invalid(bad)
@@ -909,7 +931,7 @@ def _reference_first_acyclic(analysis) -> tuple[dict, int] | None:
             stack.pop()
             continue
         d = len(prefix)
-        extended = reference_extended(reach, checker._mv_pairs(reads[d], perm))
+        extended = reference_extended(reach, reference_mv_pairs(reads[d], perm))
         if extended is None:
             continue
         chosen = prefix + (perm,)

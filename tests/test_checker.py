@@ -673,8 +673,8 @@ def _walk_corpus():
 
 
 class TestOneWalk:
-    """check_auto decides the timestamp order by the gate or the peel,
-    then every order in one walk. Verdicts, orders, counts, cycles and
+    """check_auto decides the timestamp order by its peel, then every
+    order in one walk. Verdicts, orders, counts, cycles and
     witnesses must stay those of the code it replaced,
     support.reference_check_auto."""
 
@@ -698,14 +698,6 @@ class TestOneWalk:
     def test_matches_the_replaced_check(self):
         assert self._agrees_with_references() > 3000
 
-    def test_matches_with_the_gate_declining(self, monkeypatch):
-        # the peel and the walk decide what the ascending serialization
-        # certified
-        monkeypatch.setattr(
-            checker._Analysis, "ascending_certifies", lambda analysis, order: False
-        )
-        assert self._agrees_with_references() > 3000
-
     def test_a_read_brings_its_writers_predecessors(self):
         # 2 terminated before 3 began and 1 read 3's y, so 2 precedes 1
         # although 1 began first; 1 read x before 2 wrote it
@@ -721,12 +713,24 @@ class TestOneWalk:
         h = History(events + (Event("w", 2, "x", 5),))
         with pytest.raises(UsageError, match="well-formed"):
             check_auto(h)
-        # so do the peel's masks under a fixed order the gate cannot take
         with pytest.raises(UsageError, match="well-formed"):
             check_with_order(h, {"x": (2, 0)})
+        # a write after its own commit, under every order, the default
+        # timestamp order too: each one takes the peel's masks
+        h = History((Event("b", 1), Event("c", 1), Event("w", 1, "x", 5)))
+        for order in (None, {"x": (0, 1)}, {"x": (1, 0)}):
+            with pytest.raises(UsageError, match="well-formed"):
+                check_with_order(h, order)
+        with pytest.raises(UsageError, match="well-formed"):
+            check_auto(h)
 
-    def test_gate_is_the_ascending_witness(self):
-        # exact: it passes iff the ascending serialization passes _witness
+    def test_certify_text_is_the_ascending_witness(self):
+        # certify_text is the one form of the ascending rule: it answers,
+        # with the timestamp order and the witness's text, iff the
+        # ascending serialization passes _witness. The converse can fail
+        # only on two committed writers of one value on one object, which
+        # certify_text declines even unread (TestCertifyText pins that);
+        # no valid history of this corpus has them.
         passed = 0
         for name, h in _walk_corpus():
             try:
@@ -735,10 +739,12 @@ class TestOneWalk:
                     continue
             except ValueError:
                 continue
-            order = checker._ascending_order(analysis.writes)
-            _, failure = checker._witness(analysis, sorted(analysis.vertices))
-            assert analysis.ascending_certifies(order) == (failure is None), name
-            passed += failure is None
+            s, failure = checker._witness(analysis, sorted(analysis.vertices))
+            certified = certify_text(h.serialize())
+            assert (certified is not None) == (failure is None), name
+            if certified is not None:
+                assert certified == (timestamp_order(h), s.serialize()), name
+                passed += 1
         assert passed > 1000, passed
 
     def test_walk_skips_t0_later_and_unread_permutations(self, monkeypatch):
@@ -786,20 +792,19 @@ class TestOneWalk:
                 fewer += len(steps) < len(reference_steps)
         assert fewer >= 100 and unread > 0, (fewer, unread)
 
-    def test_long_mvto_history_takes_the_gate(self, monkeypatch):
+    def test_long_mvto_history_matches_the_graph(self):
+        # the peel on a long history under its timestamp order, whose
+        # witness is ascending, and under a shuffled order, which is cyclic
         h = replay(support.long_replay_script(1, 1200))
         assert len(h.txns()) >= 1000
-
-        def unexpected(*args):
-            raise AssertionError("the gate should have certified")
-
-        monkeypatch.setattr(checker, "real_time_pairs", unexpected)
-        monkeypatch.setattr(checker, "topological_order", unexpected)
-        monkeypatch.setattr(checker, "_closure", unexpected)
-        monkeypatch.setattr(checker._Analysis, "static_masks", property(unexpected))
-        v = check_auto(h)
-        assert v.opaque and v.orders_tested == 1
-        assert [e.tx for e in v.serialization] == sorted(e.tx for e in h.complete())
+        statuses = []
+        for order in (timestamp_order(h), _random_order(1, h)):
+            v = check_with_order(h, order)
+            assert v == support.check_with_graph(h, order)
+            statuses.append(v.status)
+        assert statuses == ["opaque", "not_opaque"]
+        _ascending_witness(h)
+        assert check_auto(h) == check_with_order(h)
 
 
 class TestSequentialHistoriesAreOpaque:
@@ -878,14 +883,19 @@ def graph_calls(monkeypatch):
     return calls
 
 
-def _same_verdicts(history: History, order, graph_calls) -> bool:
+def _same_verdicts(history: History, order) -> None:
     """Assert that check_with_order agrees with the graph path under
-    order; return whether it certified opacity without peeling a graph."""
-    before = len(graph_calls)
+    order."""
     fast = _outcome(check_with_order, history, order)
-    certified = len(graph_calls) == before and getattr(fast, "opaque", False)
     assert fast == _outcome(support.check_with_graph, history, order)
-    return certified
+
+
+def _ascending_witness(history: History) -> None:
+    """Assert that the timestamp order of an MVTO history is opaque, with
+    the ascending serialization as its witness."""
+    v = check_with_order(history)
+    assert v.opaque
+    assert [e.tx for e in v.serialization] == sorted(e.tx for e in history.complete())
 
 
 def _same_auto(history: History) -> None:
@@ -898,10 +908,12 @@ def _same_auto(history: History) -> None:
 
 
 class TestAscendingShortcut:
-    """check_with_order certifies the ascending serialization before it
-    peels a graph. Every verdict must equal the graph path's."""
+    """The histories the ascending shortcut, certify_text, is for: MVTO
+    runs, replays and generated histories, under fixed orders.
+    check_with_order peels every order; each verdict must equal the
+    graph path's."""
 
-    def test_stress_runs(self, graph_calls):
+    def test_stress_runs(self):
         for seed in range(4):
             for threads in (1, 2, 3):
                 for gc in (None, 1, 2):
@@ -915,19 +927,20 @@ class TestAscendingShortcut:
                     )
                     h = run(cfg).history
                     # on an MVTO history the timestamp order is the witness
-                    assert _same_verdicts(h, timestamp_order(h), graph_calls)
-                    _same_verdicts(h, _random_order(seed, h), graph_calls)
+                    _ascending_witness(h)
+                    _same_verdicts(h, timestamp_order(h))
+                    _same_verdicts(h, _random_order(seed, h))
                     _same_auto(h)
 
-    def test_replayed_schedules(self, graph_calls):
+    def test_replayed_schedules(self):
         for seed in range(150):
             h = replay(support.random_replay_script(seed))
-            assert _same_verdicts(h, timestamp_order(h), graph_calls)
-            _same_verdicts(h, _random_order(seed, h), graph_calls)
+            _ascending_witness(h)
+            _same_verdicts(h, timestamp_order(h))
+            _same_verdicts(h, _random_order(seed, h))
             _same_auto(h)
 
-    def test_generated_histories(self, graph_calls):
-        certified = checked = 0
+    def test_generated_histories(self):
         for seed in range(150):
             h = support.random_legal_tseq(seed)
             renumbered = _renumbered(seed, h)
@@ -941,11 +954,8 @@ class TestAscendingShortcut:
             ]
             for candidate in filter(None, corpus):
                 for order in (timestamp_order(candidate), _random_order(seed, candidate)):
-                    certified += _same_verdicts(candidate, order, graph_calls)
-                    checked += 1
+                    _same_verdicts(candidate, order)
                 _same_auto(candidate)
-        # the corpus reaches both the shortcut and the graph
-        assert 0 < certified < checked
 
     def test_replayed_mvto_history_needs_no_graph(self, replayed, monkeypatch):
         def unexpected(*args):
@@ -1008,8 +1018,8 @@ def _unexpected(*args):
 
 
 class TestOneEngine:
-    """check_with_order decides an order the gate cannot take by peeling
-    the walk's bit sets. Whole verdicts must be those of the labelled
+    """check_with_order decides every order by peeling the walk's bit
+    sets. Whole verdicts must be those of the labelled
     graph, support.check_with_graph, and neither it nor check_auto may
     build an rt pair, a labelled edge or a heap sort on the way."""
 
@@ -1049,7 +1059,80 @@ class TestOneEngine:
         assert self._agrees(monkeypatch, corpus)["not_opaque"] == len(corpus)
 
 
+def _masks_by_vertex(reads, seq) -> dict[int, int]:
+    """checker._mv_masks as a dict, asserting one nonzero entry per
+    vertex."""
+    masks = checker._mv_masks(reads, seq)
+    assert all(mask for _, mask in masks)
+    by_vertex = dict(masks)
+    assert len(by_vertex) == len(masks)
+    return by_vertex
+
+
+def _reference_masks(reads, seq) -> dict[int, int]:
+    """Per target vertex, the OR of support.reference_mv_pairs."""
+    by_vertex: dict[int, int] = {}
+    for u, v in support.reference_mv_pairs(reads, seq):
+        by_vertex[v] = by_vertex.get(v, 0) | 1 << u
+    return by_vertex
+
+
+def _random_mv_case(rng: random.Random) -> tuple[list, list]:
+    """Reads and a version order of one object over a few vertices, 0
+    the initial writer. Readers are drawn from every vertex, so a reader
+    can write the object too, read the version it wrote (k == j) or
+    read one version twice; T0's version is read like any other."""
+    size = rng.randint(1, 7)
+    writers = [0] + rng.sample(range(1, size + 1), rng.randint(0, size))
+    seq = writers[:]
+    rng.shuffle(seq)
+    reads = [
+        (rng.randint(1, size), rng.choice(writers)) for _ in range(rng.randint(0, 6))
+    ]
+    if reads and rng.random() < 0.3:
+        reads.append(rng.choice(reads))
+    return reads, seq
+
+
 class TestMvRule:
+    def test_masks_match_the_reference_pairs(self):
+        # per target vertex, a mask is the OR of the pairs it replaced
+        rng = random.Random("mv-masks")
+        cases = Counter()
+        for _ in range(20_000):
+            reads, seq = _random_mv_case(rng)
+            assert _masks_by_vertex(reads, seq) == _reference_masks(reads, seq), (
+                reads,
+                seq,
+            )
+            readers = Counter(k for k, _ in set(reads))
+            cases["reader writes"] += any(k in seq for k, _ in reads)
+            cases["k == j"] += any(k == j for k, j in reads)
+            cases["read of T0"] += any(j == 0 for _, j in reads)
+            cases["repeated read"] += len(set(reads)) < len(reads)
+            cases["one reader of two versions"] += any(n > 1 for n in readers.values())
+        assert min(cases.values()) > 1000 and len(cases) == 5, cases
+
+    def test_masks_on_golden_inputs(self):
+        # under the timestamp order and a seeded random one, by the
+        # vertex indices the peel uses
+        checked = 0
+        for seed, (name, h) in enumerate(golden.inputs()):
+            analysis = checker._Analysis(h)
+            try:
+                reads = analysis.reads
+                index = analysis.static_masks[1]
+            except (ValueError, UsageError):
+                continue
+            for order in (timestamp_order(h), _random_order(seed, h)):
+                for obj, seq in order.items():
+                    pairs = [(index[k], index[j]) for k, j in reads.get(obj, ())]
+                    seq = [index[w] for w in seq]
+                    want = _reference_masks(pairs, seq)
+                    assert _masks_by_vertex(pairs, seq) == want, (name, obj)
+            checked += 1
+        assert checked > 1500, checked
+
     def test_graph_edges_match_the_labelled_reference(self):
         # one mv rule serves the graph and the search; it must give the
         # edges of the labelled set it replaced, under any version order
