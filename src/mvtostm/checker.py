@@ -19,8 +19,8 @@ and any topological order of the graph expanded transaction by
 transaction is a witness serialization. The checker verifies each
 witness it emits against independent legality, equivalence, and
 real-time checks rather than trusting the construction. Each check
-projects its history once for every order it tries, and only a witness
-builds the completion.
+projects its history once, when it builds its analysis, and every order
+it tries shares that projection; only a witness builds the completion.
 
 One engine decides every version order. The rt, rf and T0 edges are
 per-vertex bit sets, built in one sweep of the events; a version order
@@ -28,9 +28,9 @@ adds its mv edges to them, as one predecessor bit set per version from
 one sweep of each object's order, and one Kahn peel, ties broken by
 ascending id, yields the topological order or leaves the vertices on or
 after a cycle, from which one rule extracts the cycle. Every fixed order
-takes that one path, then the witness checks. build_graph and
-topological_order give the same graph and the same answer as labelled
-edge sets, and topological_order runs the same peel.
+takes that one path, then the witness checks. build_graph expands the
+same bit sets into labelled edges, and topological_order peels such a
+graph with the same peel, so they give the engine's answer.
 
 Text comes first. certify_text reads a history's text in one pass and
 decides whether the ascending serialization, T0 then every transaction
@@ -70,7 +70,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from operator import attrgetter
-from typing import NamedTuple
 
 from .errors import InvariantViolation, UsageError
 from .history import (
@@ -97,6 +96,8 @@ _tx = attrgetter("tx")
 
 VersionOrder = dict[str, tuple[int, ...]]
 
+_Reads = dict[str, list[tuple[int, int]]]  # per object, (reader, writer) pairs
+
 
 # ---------------------------------------------------------------- projections
 
@@ -116,16 +117,6 @@ def committed_writes(history: History) -> dict[str, dict[int, int]]:
     return writes
 
 
-def _writer_index(writes) -> dict[str, dict[int, list[int]]]:
-    """Per object, each committed value mapped to the writers of it."""
-    index: dict[str, dict[int, list[int]]] = {}
-    for obj, by_writer in writes.items():
-        by_value = index[obj] = {}
-        for w, v in by_writer.items():
-            by_value.setdefault(v, []).append(w)
-    return index
-
-
 def _ambiguous(obj, value, writers) -> ValueError:
     return ValueError(
         f"value {value} on object {obj} was committed by transactions "
@@ -139,7 +130,11 @@ def invalid_read(history: History) -> Event | None:
 
 
 def real_time_pairs(history: History) -> set[tuple[int, int]]:
-    """(a, b) pairs where a terminated before b's first event."""
+    """(a, b) pairs where a terminated before b's first event.
+
+    The checks never build these pairs: static_masks holds them as each
+    transaction's rt bit set.
+    """
     first: dict[int, int] = {}
     last: dict[int, int] = {}
     terminated: set[int] = set()
@@ -276,107 +271,74 @@ def _mv_masks(reads, seq) -> list[tuple[int, int]]:
     return masks
 
 
-class _Projection(NamedTuple):
-    invalid: Event | None  # the first invalid read
-    reads: dict[str, list[tuple[int, int]]]  # per object, (reader, writer)
-    ambiguous: ValueError | None  # what reading reads raises
-    vertices: frozenset[int]  # T0 and every transaction
-
-
 class _Analysis:
     """One projection of a history, shared by every version order a
-    check tries.
+    check tries, made when the analysis is built.
 
     Completion only appends aborts, so writes, reads and vertices come
-    from the history as given. The rest is built on first use: an
-    invalid read stops a check before any bit set is built, and only a
+    from the history as given. The bit sets are built on first use, so
+    an invalid read stops a check before any is built, and only a
     witness builds the completion.
+
+    One pass over the events resolves each read once. A read is invalid
+    when no transaction committed its value before it, T0 writing 0. A
+    value committed by two writers of its object raises at once when it
+    is read before the first invalid read; after it, only reading reads
+    raises.
     """
 
     def __init__(self, history: History):
         self.history = history
-        self.writes = committed_writes(history)
-        self._index = _writer_index(self.writes)
+        self.writes = writes = committed_writes(history)
+        # per object, each committed value mapped to the writers of it
+        index: dict[str, dict[int, list[int]]] = {}
+        for obj, by_writer in writes.items():
+            by_value = index[obj] = {}
+            for w, v in by_writer.items():
+                by_value.setdefault(v, []).append(w)
+        reads: _Reads = defaultdict(list)
+        invalid = ambiguous = None
+        committed = {T0}
+        seen = {T0}
+        for e in history.events:
+            kind, tx, obj, value = e
+            seen.add(tx)
+            if kind == READ:
+                writers = index[obj].get(value, ())
+                if len(writers) > 1:
+                    if invalid is None:
+                        raise _ambiguous(obj, value, writers)
+                    ambiguous = ambiguous or _ambiguous(obj, value, writers)
+                    continue
+                if writers:
+                    reads[obj].append((tx, writers[0]))
+                if invalid is None and committed.isdisjoint(writers):
+                    invalid = e
+            elif kind == COMMIT:
+                committed.add(tx)
+        self.invalid = invalid  # the first invalid read, or None
+        self.vertices = frozenset(seen)  # T0 and every transaction
+        self._reads = reads
+        self._ambiguous = ambiguous  # what reading reads raises
 
     @cached_property
     def completed(self) -> History:
         return self.history.complete()
 
-    @cached_property
-    def _projection(self) -> _Projection:
-        """The reads projected in one pass that resolves each read once.
-
-        A read is invalid when no transaction committed its value before
-        it, T0 writing 0. An ambiguous value raises at once before the
-        first invalid read; after it, only reading reads raises.
-        """
-        index = self._index
-        reads: dict[str, list[tuple[int, int]]] = defaultdict(list)
-        invalid = ambiguous = None
-        committed = {T0}
-        seen = {T0}
-        for e in self.history.events:
-            kind, tx, obj, value = e
-            seen.add(tx)
-            if kind == READ:
-                writers = index[obj].get(value)
-                if writers is None:
-                    writer = None
-                elif len(writers) == 1:
-                    writer = writers[0]
-                    reads[obj].append((tx, writer))
-                elif invalid is None:
-                    raise _ambiguous(obj, value, writers)
-                else:
-                    ambiguous = ambiguous or _ambiguous(obj, value, writers)
-                    continue
-                if invalid is None and writer not in committed:
-                    invalid = e
-            elif kind == COMMIT:
-                committed.add(tx)
-        return _Projection(invalid, reads, ambiguous, frozenset(seen))
-
     @property
-    def invalid(self) -> Event | None:
-        """First read with no committed-before writer of its value, or None;
-        an ambiguous value read after it raises nothing."""
-        return self._projection.invalid
-
-    @property
-    def reads(self) -> dict[str, list[tuple[int, int]]]:
+    def reads(self) -> _Reads:
         """Per object, (reader, writer) for every read with a committed
         writer."""
-        projection = self._projection
-        if projection.ambiguous is not None:
-            raise projection.ambiguous
-        return projection.reads
-
-    @property
-    def vertices(self) -> frozenset[int]:
-        """T0 and every transaction of the history."""
-        return self._projection.vertices
+        if self._ambiguous is not None:
+            raise self._ambiguous
+        return self._reads
 
     @cached_property
-    def static_edges(self) -> frozenset[tuple[int, int, str]]:
-        static: set[tuple[int, int, str]] = set()
-        # rt comes from the history as given: a live transaction precedes
-        # nothing, even after completion inserts its abort
-        for a, b in real_time_pairs(self.history):
-            static.add((a, b, RT))
-        for t in self.vertices:
-            if t != T0:
-                static.add((T0, t, RT))
-        for reads in self.reads.values():
-            for k, j in reads:
-                if j != k:
-                    static.add((j, k, RF))
-        return frozenset(static)
-
-    @cached_property
-    def static_masks(self) -> tuple[list[int], dict[int, int], list[int], list[int]]:
+    def static_masks(self) -> tuple[list[int], dict[int, int], list[int], list[int], _Reads]:
         """The rt, rf and T0 edges as bit sets over vertex indices: the
-        vertices by index, the index of each, and per index its rt and T0
-        predecessors and its rf ones.
+        vertices by index, the index of each, per index its rt and T0
+        predecessors and its rf ones, and per object the reads as
+        (reader, writer) indices.
 
         One sweep of the history as given indexes T0 first, then each
         transaction at its terminal event, then the live ones, which
@@ -406,21 +368,13 @@ class _Analysis:
         vertex = list(index)
         rt = [first_rt.get(v, 0) for v in vertex]
         rf = [0] * len(vertex)
-        for reads in self.reads.values():
-            for k, j in reads:
+        reads: _Reads = {}
+        for obj, pairs in self.reads.items():
+            reads[obj] = indexed = [(index[k], index[j]) for k, j in pairs]
+            for k, j in indexed:
                 if j != k:
-                    rf[index[k]] |= 1 << index[j]
-        return vertex, index, rt, rf
-
-    @cached_property
-    def indexed_reads(self) -> dict[str, list[tuple[int, int]]]:
-        """Per object, the reads as (reader, writer) vertex indices of
-        static_masks."""
-        index = self.static_masks[1]
-        return {
-            obj: [(index[k], index[j]) for k, j in reads]
-            for obj, reads in self.reads.items()
-        }
+                    rf[k] |= 1 << j
+        return vertex, index, rt, rf, reads
 
     def validate_order(self, order: VersionOrder) -> None:
         want = {obj: set(ws) for obj, ws in self.writes.items()}
@@ -438,18 +392,25 @@ class _Analysis:
 
 
 def build_graph(history: History, order: VersionOrder) -> OpacityGraph:
-    """The labelled graph of a history under a version order; UsageError
-    if the order does not list exactly each object's committed writers."""
+    """The labelled graph of a history under a version order, expanded
+    from the bit sets the peel uses: static_masks' rt and rf sets and
+    the order's mv masks. UsageError if the order does not list exactly
+    each object's committed writers, or if an event follows its
+    transaction's terminal."""
     analysis = _Analysis(history)
     analysis.validate_order(order)
-    edges = set(analysis.static_edges)
-    vertex = sorted(analysis.vertices)
-    index = {v: i for i, v in enumerate(vertex)}
+    vertex, index, rt, rf, reads = analysis.static_masks
+    mv = [0] * len(vertex)
     for obj, seq in order.items():
-        reads = [(index[k], index[j]) for k, j in analysis.reads.get(obj, ())]
-        for v, mask in _mv_masks(reads, [index[w] for w in seq]):
-            edges.update((vertex[u], vertex[v], MV) for u in _bits(mask))
-    return OpacityGraph(analysis.vertices, frozenset(edges))
+        for v, mask in _mv_masks(reads.get(obj, ()), [index[w] for w in seq]):
+            mv[v] |= mask
+    edges = frozenset(
+        (vertex[u], vertex[v], label)
+        for label, preds in ((RT, rt), (RF, rf), (MV, mv))
+        for v, mask in enumerate(preds)
+        for u in _bits(mask)
+    )
+    return OpacityGraph(analysis.vertices, edges)
 
 
 def topological_order(graph: OpacityGraph):
@@ -623,9 +584,8 @@ def _order_verdict(analysis: _Analysis, order: VersionOrder, tested: int = 1) ->
     """Decide under one valid version order by peeling its graph, the
     rt, rf and T0 bit sets plus the order's mv masks; the witness checks
     then certify an acyclic result. The verdict reports tested orders."""
-    vertex, index, rt, rf = analysis.static_masks
+    vertex, index, rt, rf, reads = analysis.static_masks
     preds = [a | b for a, b in zip(rt, rf)]
-    reads = analysis.indexed_reads
     for obj, seq in order.items():
         for v, mask in _mv_masks(reads.get(obj, ()), [index[w] for w in seq]):
             preds[v] |= mask
@@ -871,10 +831,9 @@ def _first_acyclic(analysis: _Analysis) -> tuple[VersionOrder, int] | None:
     skipped with every completion. The walk permutes vertex indices, so
     an order's constraints come out as masks over them.
     """
-    vertex, index, rt, rf = analysis.static_masks
+    vertex, index, rt, rf, reads = analysis.static_masks
     root = _closure(rt, rf)
     objs = sorted(analysis.writes)
-    reads = analysis.indexed_reads
     # per object, its choices by vertex index as a tee, which keeps what
     # it produced: every copy replays them, and each one's masks are
     # built once

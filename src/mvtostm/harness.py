@@ -19,7 +19,16 @@ from dataclasses import dataclass, field
 from .checker import Verdict, check_with_order
 from .core import Registry, Transaction
 from .errors import ConfigError, InvariantViolation, ReplayError, UsageError
-from .history import ABORT, COMMIT, TERMINALS, WRITE, History, Recorder, VersionNote
+from .history import (
+    ABORT,
+    COMMIT,
+    TERMINALS,
+    WRITE,
+    History,
+    Recorder,
+    VersionNote,
+    _signed,
+)
 from .locks import LockOrderMonitor
 
 WATCHDOG_SECONDS = 30.0
@@ -406,7 +415,7 @@ def parse_script(text: str) -> tuple[list[str], list[ReplayStep]]:
                 raise ReplayError(line_no, "duplicate objects line")
             if len(tokens) < 2:
                 raise ReplayError(line_no, "objects line names no objects")
-            if len(tokens) == 2 and tokens[1].isdecimal():
+            if len(tokens) == 2 and tokens[1].isdigit() and tokens[1].isascii():
                 count = int(tokens[1])
                 if count < 1:
                     raise ReplayError(line_no, "object count must be positive")
@@ -436,10 +445,9 @@ def parse_script(text: str) -> tuple[list[str], list[ReplayStep]]:
             if obj not in objects:
                 raise ReplayError(line_no, f"undefined object {obj!r}")
         if extra == 2:
-            try:
-                value = int(tokens[4], 10)
-            except ValueError:
-                raise ReplayError(line_no, f"bad value {tokens[4]!r}") from None
+            value = _signed(tokens[4])
+            if value is None:
+                raise ReplayError(line_no, f"bad value {tokens[4]!r}")
         steps.append(ReplayStep(line_no, thread, op, obj, value))
     return objects or [], steps
 

@@ -24,6 +24,10 @@ import json
 import sys
 from pathlib import Path
 
+if __name__ == "__main__":
+    # run as a script from a checkout where the package is not installed
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
 from mvtostm.checker import check_auto, check_with_order, timestamp_order
 from mvtostm.errors import StmError
 from mvtostm.harness import replay

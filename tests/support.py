@@ -788,11 +788,72 @@ def reference_mv_pairs(reads, seq) -> list[tuple[int, int]]:
     return pairs
 
 
+def reference_projection(history: History) -> tuple:
+    """(invalid, reads, ambiguous, vertices) of history, as the checker
+    projected it before its analysis projected in its constructor.
+
+    reads holds per object the (reader, writer) pair of every read with
+    one committed writer of its value, ambiguous the ValueError that
+    reading reads raises, or None, and vertices T0 and every
+    transaction. A read is invalid when no transaction committed its
+    value before it, T0 writing 0. An ambiguous value raises at once
+    before the first invalid read; after it, only reading reads raises.
+    """
+    index: dict[str, dict[int, list[int]]] = {}
+    for obj, by_writer in checker.committed_writes(history).items():
+        by_value = index[obj] = {}
+        for w, v in by_writer.items():
+            by_value.setdefault(v, []).append(w)
+    reads: dict[str, list[tuple[int, int]]] = defaultdict(list)
+    invalid = ambiguous = None
+    committed = {checker.T0}
+    seen = {checker.T0}
+    for e in history.events:
+        kind, tx, obj, value = e
+        seen.add(tx)
+        if kind == READ:
+            writers = index[obj].get(value)
+            if writers is None:
+                writer = None
+            elif len(writers) == 1:
+                writer = writers[0]
+                reads[obj].append((tx, writer))
+            elif invalid is None:
+                raise checker._ambiguous(obj, value, writers)
+            else:
+                ambiguous = ambiguous or checker._ambiguous(obj, value, writers)
+                continue
+            if invalid is None and writer not in committed:
+                invalid = e
+        elif kind == COMMIT:
+            committed.add(tx)
+    return invalid, reads, ambiguous, frozenset(seen)
+
+
+def reference_static_edges(analysis) -> frozenset[tuple[int, int, str]]:
+    """The labelled rt, rf and T0 edges of an analysis, from
+    real_time_pairs, as the checker built them before build_graph read
+    the peel's bit sets."""
+    static: set[tuple[int, int, str]] = set()
+    # rt comes from the history as given: a live transaction precedes
+    # nothing, even after completion inserts its abort
+    for a, b in checker.real_time_pairs(analysis.history):
+        static.add((a, b, checker.RT))
+    for t in analysis.vertices:
+        if t != checker.T0:
+            static.add((checker.T0, t, checker.RT))
+    for reads in analysis.reads.values():
+        for k, j in reads:
+            if j != k:
+                static.add((j, k, checker.RF))
+    return frozenset(static)
+
+
 def reference_graph_verdict(analysis, order, tested: int = 1) -> Verdict:
     """Decide under one valid version order by building its labelled
     graph, real_time_pairs included, and sorting it with
     reference_topological_order; the verdict reports tested orders."""
-    edges = set(analysis.static_edges)
+    edges = set(reference_static_edges(analysis))
     for obj, seq in order.items():
         pairs = reference_mv_pairs(analysis.reads.get(obj, ()), seq)
         edges.update((u, v, checker.MV) for u, v in pairs)
@@ -920,9 +981,8 @@ def _reference_first_acyclic(analysis) -> tuple[dict, int] | None:
     index = {v: i for i, v in enumerate(vertex)}
     writers = [[index[w] for w in sorted(analysis.writes[obj])] for obj in objs]
     reads = [[(index[k], index[j]) for k, j in analysis.reads.get(obj, ())] for obj in objs]
-    root = _reference_closure(
-        len(index), [(index[u], index[v]) for u, v, _ in analysis.static_edges]
-    )
+    static = [(index[u], index[v]) for u, v, _ in reference_static_edges(analysis)]
+    root = _reference_closure(len(index), static)
     stack = [(root, (), 0, enumerate(itertools.permutations(writers[0])))]
     while stack:
         reach, prefix, rank, perms = stack[-1]

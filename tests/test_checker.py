@@ -117,19 +117,19 @@ class TestValidity:
 
 
 class TestOneProjectionPerCheck:
-    """Each check computes the committed writes and the writer index
-    once, whichever of the shortcut, the graph and the search it takes."""
+    """Each check computes the committed writes once, whichever of the
+    shortcut, the graph and the search it takes."""
 
     @pytest.fixture
     def projections(self, monkeypatch):
         calls = Counter()
-        for name in ("committed_writes", "_writer_index"):
+        original = checker.committed_writes
 
-            def counting(*args, name=name, original=getattr(checker, name)):
-                calls[name] += 1
-                return original(*args)
+        def counting(*args):
+            calls["committed_writes"] += 1
+            return original(*args)
 
-            monkeypatch.setattr(checker, name, counting)
+        monkeypatch.setattr(checker, "committed_writes", counting)
         return calls
 
     def test_each_check_projects_once(self, reference, replayed, projections):
@@ -141,7 +141,7 @@ class TestOneProjectionPerCheck:
             for check, args in ((check_auto, (h,)), (check_with_order, (h, order))):
                 projections.clear()
                 check(*args)
-                assert projections == {"committed_writes": 1, "_writer_index": 1}
+                assert projections == {"committed_writes": 1}
 
     @pytest.mark.parametrize("caller", ["check_with_order", "opacity-check", "run"])
     def test_timestamp_checks_project_once(self, caller, tmp_path, capsys, projections):
@@ -154,8 +154,94 @@ class TestOneProjectionPerCheck:
             "run": lambda: run(cfg),
         }[caller]
         call()
-        assert projections == {"committed_writes": 1, "_writer_index": 1}
+        assert projections == {"committed_writes": 1}
         capsys.readouterr()
+
+
+def _projected(h: History):
+    """What checker._Analysis(h) projects: the first invalid read, the
+    reads or the error reading them raises, and the vertices; or the
+    error that building the analysis raises."""
+    try:
+        analysis = checker._Analysis(h)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    try:
+        reads = analysis.reads
+    except ValueError as exc:
+        reads = type(exc).__name__, str(exc)
+    return analysis.invalid, reads, analysis.vertices
+
+
+def _reference_projected(h: History):
+    """_projected by support.reference_projection, the projection the
+    analysis made lazily before."""
+    try:
+        invalid, reads, ambiguous, vertices = support.reference_projection(h)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    if ambiguous is not None:
+        reads = type(ambiguous).__name__, str(ambiguous)
+    return invalid, reads, vertices
+
+
+# Hand-built histories, one per case of the projection pass, each with
+# what it projects: "raises", or the first invalid read's line (None
+# when every read is valid) and whether reading the reads raises.
+PROJECTION_CASES = {
+    "ambiguous before the first invalid": (
+        "w 1 x 7\nc 1\nw 2 x 7\nc 2\nr 3 x 7\nr 3 y 9\n",
+        "raises",
+    ),
+    "ambiguous after the first invalid": (
+        "w 1 x 7\nc 1\nw 2 x 7\nc 2\nr 3 y 9\nr 3 x 7\n",
+        ("r 3 y 9", True),
+    ),
+    "unread duplicate value": (
+        "b 3\nr 3 x 0\nw 1 x 7\nc 1\nw 2 x 7\nc 2\nc 3\n",
+        (None, False),
+    ),
+    "writer commits after the read": (
+        "b 1\nw 1 x 5\nb 2\nr 2 x 5\nc 1\nc 2\n",
+        ("r 2 x 5", False),
+    ),
+    "aborted writer": ("b 1\nw 1 x 5\na 1\nb 2\nr 2 x 5\nc 2\n", ("r 2 x 5", False)),
+}
+
+
+class TestProjectionAgainstReference:
+    """_Analysis projects its history in its constructor. Its invalid
+    read, reads, vertices and raised errors must be those of the lazy
+    projection it replaced, support.reference_projection."""
+
+    @pytest.mark.parametrize("case", sorted(PROJECTION_CASES))
+    def test_hand_built_cases(self, case):
+        text, want = PROJECTION_CASES[case]
+        h = parse(text)
+        got = _projected(h)
+        assert got == _reference_projected(h)
+        if want == "raises":
+            assert got[0] == "ValueError" and "unique" in got[1]
+            return
+        line, reads_raise = want
+        invalid, reads, vertices = got
+        assert (None if invalid is None else invalid.line()) == line
+        assert (isinstance(reads, tuple) and reads[0] == "ValueError") == reads_raise
+        assert vertices == {0} | {e.tx for e in h.events}
+
+    def test_golden_inputs(self):
+        # the golden inputs include random_concurrent_history's seeds
+        # 0-599 as concurrent/<seed>
+        outcomes = Counter()
+        for name, h in golden.inputs():
+            got = _projected(h)
+            assert got == _reference_projected(h), name
+            if len(got) == 2:
+                outcomes["raises"] += 1
+            else:
+                outcomes["invalid" if got[0] is not None else "valid"] += 1
+        assert outcomes["raises"] >= 1, outcomes
+        assert min(outcomes["invalid"], outcomes["valid"]) > 300, outcomes
 
 
 class TestSequential:
@@ -309,6 +395,21 @@ class TestBuildGraph:
         topo, cycle = topological_order(g)
         assert topo == [0, 1]
         assert cycle is None
+
+    def test_event_after_a_terminal_is_a_usage_error(self):
+        # build_graph reads the peel's bit sets, whose rt sets need each
+        # terminal to be its transaction's last event, as the checks do
+        h = History((Event("b", 1), Event("c", 1), Event("w", 1, "x", 5)))
+        with pytest.raises(UsageError, match="well-formed"):
+            build_graph(h, {"x": (0, 1)})
+
+    def test_ambiguous_read_raises_before_the_order_is_checked(self):
+        # the analysis projects in its constructor, so a value with two
+        # committed writers, read before any invalid read, raises first
+        h = parse(golden.AMBIGUOUS_TEXT)
+        with pytest.raises(ValueError, match="unique") as info:
+            build_graph(h, {"x": (0, 1)})  # writer 2 missing
+        assert type(info.value) is ValueError
 
     @settings(max_examples=40)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -600,8 +701,8 @@ class TestPrunedSearch:
         # and the masks hold exactly those edges
         checked = 0
         for name, h in golden.inputs():
-            analysis = checker._Analysis(h)
             try:
+                analysis = checker._Analysis(h)
                 if analysis.invalid is not None:
                     continue
             except ValueError:
@@ -609,9 +710,10 @@ class TestPrunedSearch:
             last = {0: -1}
             for i, e in enumerate(h.events):
                 last[e.tx] = i
-            for u, v, label in analysis.static_edges:
+            static = support.reference_static_edges(analysis)
+            for u, v, label in static:
                 assert last[u] < last[v], (name, u, v, label)
-            vertex, _, rt, rf = analysis.static_masks
+            vertex, _, rt, rf, _ = analysis.static_masks
             masked = {
                 (vertex[u], vertex[v])
                 for v, (before, read) in enumerate(zip(rt, rf))
@@ -620,7 +722,7 @@ class TestPrunedSearch:
             }
             for v, (before, read) in enumerate(zip(rt, rf)):
                 assert (before | read) >> v == 0, (name, vertex[v])
-            assert masked == {(u, v) for u, v, _ in analysis.static_edges}, name
+            assert masked == {(u, v) for u, v, _ in static}, name
             checked += 1
         assert checked > 1500, checked
 
@@ -632,10 +734,10 @@ class TestPrunedSearch:
         static_masks = checker._Analysis.static_masks.func
 
         def with_backward_edge(analysis):
-            vertex, index, rt, rf = static_masks(analysis)
+            vertex, index, rt, rf, reads = static_masks(analysis)
             rt = rt.copy()
             rt[0] |= 1 << index[2]
-            return vertex, index, rt, rf
+            return vertex, index, rt, rf, reads
 
         monkeypatch.setattr(
             checker._Analysis, "static_masks", property(with_backward_edge)
@@ -1032,7 +1134,6 @@ class TestOneEngine:
             with monkeypatch.context() as m:
                 m.setattr(checker, "real_time_pairs", _unexpected)
                 m.setattr(checker, "topological_order", _unexpected)
-                m.setattr(checker._Analysis, "static_edges", property(_unexpected))
                 verdict = _outcome(check_with_order, h, order)
                 auto = _outcome(check_auto, h, DIFF_BUDGET)
             assert verdict == _outcome(support.check_with_graph, h, order), name
@@ -1118,15 +1219,16 @@ class TestMvRule:
         # vertex indices the peel uses
         checked = 0
         for seed, (name, h) in enumerate(golden.inputs()):
-            analysis = checker._Analysis(h)
             try:
-                reads = analysis.reads
-                index = analysis.static_masks[1]
+                analysis = checker._Analysis(h)
+                _, index, _, _, indexed = analysis.static_masks
             except (ValueError, UsageError):
                 continue
+            reads = analysis.reads
             for order in (timestamp_order(h), _random_order(seed, h)):
                 for obj, seq in order.items():
                     pairs = [(index[k], index[j]) for k, j in reads.get(obj, ())]
+                    assert indexed.get(obj, []) == pairs, (name, obj)
                     seq = [index[w] for w in seq]
                     want = _reference_masks(pairs, seq)
                     assert _masks_by_vertex(pairs, seq) == want, (name, obj)
@@ -1134,22 +1236,33 @@ class TestMvRule:
         assert checked > 1500, checked
 
     def test_graph_edges_match_the_labelled_reference(self):
-        # one mv rule serves the graph and the search; it must give the
-        # edges of the labelled set it replaced, under any version order
-        for seed in range(200):
-            h = support.random_concurrent_history(seed)
-            analysis = checker._Analysis(h)
+        # build_graph expands the peel's bit sets; under any version
+        # order its rt, rf, T0 and mv edges must be the labelled sets
+        # they replaced, and a history the analysis refuses raises
+        built = 0
+        for seed, (name, h) in enumerate(golden.inputs()):
+            ts = timestamp_order(h)
+            try:
+                analysis = checker._Analysis(h)
+                analysis.static_masks
+            except (ValueError, UsageError) as exc:
+                with pytest.raises(type(exc)):
+                    build_graph(h, ts)
+                continue
+            static = support.reference_static_edges(analysis)
             reads = [
                 (k, obj, j) for obj, pairs in analysis.reads.items() for k, j in pairs
             ]
-            for order in (timestamp_order(h), _random_order(seed, h)):
+            for order in (ts, _random_order(seed, h)):
                 positions = {
                     obj: {w: p for p, w in enumerate(seq)} for obj, seq in order.items()
                 }
-                want = support.reference_mv_edges(reads, analysis.writes, positions)
-                assert build_graph(h, order).labeled(checker.MV) == {
-                    (u, v) for u, v, _ in want
-                }, seed
+                mv = support.reference_mv_edges(reads, analysis.writes, positions)
+                graph = build_graph(h, order)
+                assert graph.vertices == analysis.vertices, name
+                assert graph.edges == static | mv, name
+            built += 1
+        assert built > 1500, built
 
 
 def _ts_outcome(text: str):

@@ -325,6 +325,16 @@ class TestParseScript:
         assert objects == ["²"]
         assert steps[0] == ReplayStep(2, "t", "w", "²", 9)
 
+    def test_non_ascii_count_is_a_name(self):
+        # int() reads "١٠" as 10; the count form takes ASCII digits only
+        objects, steps = parse_script("objects ١٠\nstep t w ١٠ 9\n")
+        assert objects == ["١٠"]
+        assert steps[0] == ReplayStep(2, "t", "w", "١٠", 9)
+
+    def test_values_are_spelled_as_parse_reads_them(self):
+        objects, steps = parse_script("objects x\nstep t w x -3\nstep t w x 0\n")
+        assert [s.value for s in steps] == [-3, 0]
+
     def test_comments_and_blanks(self):
         objects, steps = parse_script(
             "# setup\nobjects x\n\nstep a b  # begin\nstep a c\n"
@@ -346,6 +356,13 @@ class TestParseScript:
             ("objects x\nstep a w x\n", 2, "argument"),
             ("objects x\nstep a r y\n", 2, "undefined object"),
             ("objects x\nstep a w x five\n", 2, "value"),
+            # the rule parse applies to a value: ASCII digits, no
+            # leading zero, "-" only before a nonzero integer
+            ("objects x\nstep a w x 1_0\n", 2, "bad value '1_0'"),
+            ("objects x\nstep a w x +5\n", 2, "bad value"),
+            ("objects x\nstep a w x ٧\n", 2, "bad value"),
+            ("objects x\nstep a w x 05\n", 2, "bad value"),
+            ("objects x\nstep a w x -0\n", 2, "bad value"),
             ("objects x\nbogus a b\n", 2, "step"),
         ],
     )
