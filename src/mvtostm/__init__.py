@@ -11,12 +11,8 @@ fixed per-object version order or by exhaustive search over all orders.
 
 from .checker import (
     DEFAULT_BUDGET,
-    MV,
-    RF,
-    RT,
     OpacityGraph,
     Verdict,
-    build_graph,
     certify_text,
     check_auto,
     check_brute_force,
@@ -53,7 +49,6 @@ from .gc import collect
 from .harness import (
     RunReport,
     WorkloadConfig,
-    decode_value,
     encode_value,
     parse_script,
     replay,
@@ -92,11 +87,8 @@ __all__ = [
     "InvariantViolation",
     "LIVE",
     "LockOrderMonitor",
-    "MV",
     "OpacityGraph",
     "READ",
-    "RF",
-    "RT",
     "Recorder",
     "Registry",
     "ReplayError",
@@ -110,14 +102,12 @@ __all__ = [
     "VersionTuple",
     "WRITE",
     "WorkloadConfig",
-    "build_graph",
     "certify_text",
     "check_auto",
     "check_brute_force",
     "check_with_order",
     "collect",
     "committed_writes",
-    "decode_value",
     "encode_value",
     "equivalent",
     "illegal_read",

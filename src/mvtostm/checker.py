@@ -28,9 +28,8 @@ adds its mv edges to them, as one predecessor bit set per version from
 one sweep of each object's order, and one Kahn peel, ties broken by
 ascending id, yields the topological order or leaves the vertices on or
 after a cycle, from which one rule extracts the cycle. Every fixed order
-takes that one path, then the witness checks. build_graph expands the
-same bit sets into labelled edges, and topological_order peels such a
-graph with the same peel, so they give the engine's answer.
+takes that one path, then the witness checks. topological_order peels an
+OpacityGraph with the same peel, so it gives the engine's answer.
 
 Text comes first. certify_text reads a history's text in one pass and
 decides whether the ascending serialization, T0 then every transaction
@@ -84,10 +83,6 @@ from .history import (
     History,
 )
 
-RT = "rt"
-RF = "rf"
-MV = "mv"
-
 T0 = 0
 
 DEFAULT_BUDGET = 10**6
@@ -115,13 +110,6 @@ def committed_writes(history: History) -> dict[str, dict[int, int]]:
         if e.kind == WRITE and e.tx in committed:
             writes[e.obj][e.tx] = e.value
     return writes
-
-
-def _ambiguous(obj, value, writers) -> ValueError:
-    return ValueError(
-        f"value {value} on object {obj} was committed by transactions "
-        f"{sorted(writers)}; per-object written values must be unique"
-    )
 
 
 def invalid_read(history: History) -> Event | None:
@@ -235,9 +223,6 @@ class OpacityGraph:
     def edge_pairs(self) -> set[tuple[int, int]]:
         return {(u, v) for u, v, _ in self.edges}
 
-    def labeled(self, label: str) -> set[tuple[int, int]]:
-        return {(u, v) for u, v, lab in self.edges if lab == label}
-
 
 def _mv_masks(reads, seq) -> list[tuple[int, int]]:
     """Version-order constraints from one object's reads, as (vertex,
@@ -275,16 +260,16 @@ class _Analysis:
     """One projection of a history, shared by every version order a
     check tries, made when the analysis is built.
 
-    Completion only appends aborts, so writes, reads and vertices come
-    from the history as given. The bit sets are built on first use, so
-    an invalid read stops a check before any is built, and only a
-    witness builds the completion.
+    Completion only appends aborts, so writes and reads come from the
+    history as given. The bit sets are built on first use, so an
+    invalid read stops a check before any is built, and only a witness
+    builds the completion.
 
-    One pass over the events resolves each read once. A read is invalid
-    when no transaction committed its value before it, T0 writing 0. A
-    value committed by two writers of its object raises at once when it
-    is read before the first invalid read; after it, only reading reads
-    raises.
+    One pass over the events resolves the reads in order and stops at
+    the first that decides: a read of a value that two writers of its
+    object committed raises ValueError, and a read of a value that no
+    transaction committed before it, T0 writing 0, is invalid. So reads
+    is complete whenever invalid is None.
     """
 
     def __init__(self, history: History):
@@ -297,41 +282,30 @@ class _Analysis:
             for w, v in by_writer.items():
                 by_value.setdefault(v, []).append(w)
         reads: _Reads = defaultdict(list)
-        invalid = ambiguous = None
+        invalid = None
         committed = {T0}
-        seen = {T0}
         for e in history.events:
             kind, tx, obj, value = e
-            seen.add(tx)
             if kind == READ:
                 writers = index[obj].get(value, ())
                 if len(writers) > 1:
-                    if invalid is None:
-                        raise _ambiguous(obj, value, writers)
-                    ambiguous = ambiguous or _ambiguous(obj, value, writers)
-                    continue
-                if writers:
-                    reads[obj].append((tx, writers[0]))
-                if invalid is None and committed.isdisjoint(writers):
+                    raise ValueError(
+                        f"value {value} on object {obj} was committed by transactions "
+                        f"{sorted(writers)}; per-object written values must be unique"
+                    )
+                if committed.isdisjoint(writers):
                     invalid = e
+                    break
+                reads[obj].append((tx, writers[0]))
             elif kind == COMMIT:
                 committed.add(tx)
         self.invalid = invalid  # the first invalid read, or None
-        self.vertices = frozenset(seen)  # T0 and every transaction
-        self._reads = reads
-        self._ambiguous = ambiguous  # what reading reads raises
+        # per object, (reader, writer) for every read before that one
+        self.reads = reads
 
     @cached_property
     def completed(self) -> History:
         return self.history.complete()
-
-    @property
-    def reads(self) -> _Reads:
-        """Per object, (reader, writer) for every read with a committed
-        writer."""
-        if self._ambiguous is not None:
-            raise self._ambiguous
-        return self._reads
 
     @cached_property
     def static_masks(self) -> tuple[list[int], dict[int, int], list[int], list[int], _Reads]:
@@ -389,28 +363,6 @@ class _Analysis:
                     f"version order for {obj} must cover exactly the committed "
                     f"writers {sorted(want[obj])}, got {list(seq)}"
                 )
-
-
-def build_graph(history: History, order: VersionOrder) -> OpacityGraph:
-    """The labelled graph of a history under a version order, expanded
-    from the bit sets the peel uses: static_masks' rt and rf sets and
-    the order's mv masks. UsageError if the order does not list exactly
-    each object's committed writers, or if an event follows its
-    transaction's terminal."""
-    analysis = _Analysis(history)
-    analysis.validate_order(order)
-    vertex, index, rt, rf, reads = analysis.static_masks
-    mv = [0] * len(vertex)
-    for obj, seq in order.items():
-        for v, mask in _mv_masks(reads.get(obj, ()), [index[w] for w in seq]):
-            mv[v] |= mask
-    edges = frozenset(
-        (vertex[u], vertex[v], label)
-        for label, preds in ((RT, rt), (RF, rf), (MV, mv))
-        for v, mask in enumerate(preds)
-        for u in _bits(mask)
-    )
-    return OpacityGraph(analysis.vertices, edges)
 
 
 def topological_order(graph: OpacityGraph):

@@ -47,13 +47,12 @@ class VersionTuple:
 class TObject:
     """A shared object: its sorted version list plus its lock."""
 
-    __slots__ = ("object_id", "lock", "versions", "gc_deleted")
+    __slots__ = ("object_id", "lock", "versions")
 
     def __init__(self, object_id: int):
         self.object_id = object_id
         self.lock = FairLock()
         self.versions: list[VersionTuple] = [VersionTuple(0, 0)]
-        self.gc_deleted = 0
 
     def find(self, ts: int) -> VersionTuple:
         """Version with the largest creator timestamp strictly below ts.

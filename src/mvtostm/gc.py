@@ -40,9 +40,7 @@ def collect(tobj, registry) -> None:
     for vt, nxt in zip(versions, versions[1:]):
         if any(vt.ts < j < nxt.ts for j in live):
             survivors.append(vt)
-        else:
-            tobj.gc_deleted += 1
-            if registry._recorder is not None:
-                registry._recorder.on_version_delete(tobj.object_id, vt.ts)
+        elif registry._recorder is not None:
+            registry._recorder.on_version_delete(tobj.object_id, vt.ts)
     survivors.append(versions[-1])
     tobj.versions = survivors

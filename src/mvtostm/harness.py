@@ -53,13 +53,6 @@ def encode_value(tx_id: int, object_id: int, write_idx: int) -> int:
     return (tx_id * _OBJ_LIMIT + object_id) * _IDX_LIMIT + write_idx
 
 
-def decode_value(value: int) -> tuple[int, int, int]:
-    """Inverse of encode_value: (transaction id, object id, write index)."""
-    rest, write_idx = divmod(value, _IDX_LIMIT)
-    tx_id, object_id = divmod(rest, _OBJ_LIMIT)
-    return tx_id, object_id, write_idx
-
-
 @dataclass(frozen=True)
 class WorkloadConfig:
     threads: int = 4
@@ -352,6 +345,7 @@ def run(config: WorkloadConfig, watchdog: float = WATCHDOG_SECONDS) -> RunReport
     update_aborted = tally[ABORT, True]
     gave_up = sum(s.gave_up for s in stats)
     objects = [registry.tobject(oid) for oid in range(1, config.object_count + 1)]
+    notes = tuple(recorder.version_notes())
     return RunReport(
         config=config,
         history=history,
@@ -366,11 +360,11 @@ def run(config: WorkloadConfig, watchdog: float = WATCHDOG_SECONDS) -> RunReport
         gave_up=gave_up,
         witnesses=tuple(w for s in stats for w in s.witnesses),
         max_versions=max(len(o.versions) for o in objects),
-        gc_deleted=sum(o.gc_deleted for o in objects),
+        gc_deleted=sum(n.action == "delete" for n in notes),
         lock_acquisitions=monitor.acquisitions,
         lock_violations=len(monitor.violations),
         lock_handoffs=registry.lock_handoffs(),
-        version_notes=tuple(recorder.version_notes()),
+        version_notes=notes,
     )
 
 

@@ -110,14 +110,8 @@ class History:
     def committed(self) -> set[int]:
         return {e.tx for e in self.events if e.kind == COMMIT}
 
-    def aborted(self) -> set[int]:
-        return {e.tx for e in self.events if e.kind == ABORT}
-
     def incomplete(self) -> set[int]:
         return self.txns() - {e.tx for e in self.events if e.kind in TERMINALS}
-
-    def events_of(self, tx: int) -> tuple[Event, ...]:
-        return tuple(e for e in self.events if e.tx == tx)
 
     def objects(self) -> set[str]:
         return {e.obj for e in self.events if e.obj is not None}

@@ -21,6 +21,7 @@ from mvtostm import checker
 from mvtostm.checker import Verdict, invalid_read
 from mvtostm.core import ABORTED, COMMITTED, Registry, Transaction, VersionTuple
 from mvtostm.errors import HistoryFormatError, InvariantViolation, UsageError
+from mvtostm.harness import _IDX_LIMIT, _OBJ_LIMIT
 from mvtostm.history import (
     ABORT,
     BEGIN,
@@ -368,6 +369,14 @@ def shuffle_preserving_tx_order(seed: int, history: History) -> History:
     return History(tuple(merged))
 
 
+def decode_value(value: int) -> tuple[int, int, int]:
+    """Inverse of harness.encode_value: (transaction id, object id,
+    write index)."""
+    rest, write_idx = divmod(value, _IDX_LIMIT)
+    tx_id, object_id = divmod(rest, _OBJ_LIMIT)
+    return tx_id, object_id, write_idx
+
+
 # -------------------------------------------------------- parser references
 
 
@@ -668,7 +677,7 @@ def oracle_opaque_by_search(history: History) -> bool:
     """
     completed = history.complete()
     txns = sorted(completed.txns())
-    blocks = {tx: completed.events_of(tx) for tx in txns}
+    blocks = {tx: tuple(e for e in completed.events if e.tx == tx) for tx in txns}
     first: dict[int, int] = {}
     last: dict[int, int] = {}
     terminated: set[int] = set()
@@ -718,6 +727,47 @@ def oracle_acyclic_dfs(vertices, pairs) -> bool:
 # Unlike the oracles above, these decide through the package's own graph
 # machinery. They are the plain graph path that the checker's shortcuts
 # must reproduce verdict for verdict.
+
+# edge labels: real time (and T0), reads-from, version order
+RT = "rt"
+RF = "rf"
+MV = "mv"
+
+
+def labeled(graph: checker.OpacityGraph, label: str) -> set[tuple[int, int]]:
+    """The (from, to) pairs of graph's edges that carry label."""
+    return {(u, v) for u, v, lab in graph.edges if lab == label}
+
+
+def build_graph(history: History, order) -> checker.OpacityGraph:
+    """The labelled graph of a history under a version order, expanded
+    from the bit sets the peel uses: static_masks' vertices, rt and rf
+    sets, and the order's mv masks.
+
+    UsageError if the history has an invalid read, since the analysis
+    resolves no read after it; if the order does not list exactly each
+    object's committed writers; or if an event follows its transaction's
+    terminal.
+    """
+    analysis = checker._Analysis(history)
+    if analysis.invalid is not None:
+        raise UsageError(
+            f"invalid read {analysis.invalid.line()!r}: the analysis resolves "
+            "no read after it"
+        )
+    analysis.validate_order(order)
+    vertex, index, rt, rf, reads = analysis.static_masks
+    mv = [0] * len(vertex)
+    for obj, seq in order.items():
+        for v, mask in checker._mv_masks(reads.get(obj, ()), [index[w] for w in seq]):
+            mv[v] |= mask
+    edges = frozenset(
+        (vertex[u], vertex[v], label)
+        for label, preds in ((RT, rt), (RF, rf), (MV, mv))
+        for v, mask in enumerate(preds)
+        for u in checker._bits(mask)
+    )
+    return checker.OpacityGraph(frozenset(vertex), edges)
 
 
 def reference_topological_order(graph: checker.OpacityGraph):
@@ -788,9 +838,17 @@ def reference_mv_pairs(reads, seq) -> list[tuple[int, int]]:
     return pairs
 
 
+def _reference_ambiguous(obj, value, writers) -> ValueError:
+    return ValueError(
+        f"value {value} on object {obj} was committed by transactions "
+        f"{sorted(writers)}; per-object written values must be unique"
+    )
+
+
 def reference_projection(history: History) -> tuple:
     """(invalid, reads, ambiguous, vertices) of history, as the checker
-    projected it before its analysis projected in its constructor.
+    projected it before its analysis projected in its constructor, and
+    before it stopped at the first invalid read.
 
     reads holds per object the (reader, writer) pair of every read with
     one committed writer of its value, ambiguous the ValueError that
@@ -819,9 +877,9 @@ def reference_projection(history: History) -> tuple:
                 writer = writers[0]
                 reads[obj].append((tx, writer))
             elif invalid is None:
-                raise checker._ambiguous(obj, value, writers)
+                raise _reference_ambiguous(obj, value, writers)
             else:
-                ambiguous = ambiguous or checker._ambiguous(obj, value, writers)
+                ambiguous = ambiguous or _reference_ambiguous(obj, value, writers)
                 continue
             if invalid is None and writer not in committed:
                 invalid = e
@@ -838,14 +896,13 @@ def reference_static_edges(analysis) -> frozenset[tuple[int, int, str]]:
     # rt comes from the history as given: a live transaction precedes
     # nothing, even after completion inserts its abort
     for a, b in checker.real_time_pairs(analysis.history):
-        static.add((a, b, checker.RT))
-    for t in analysis.vertices:
-        if t != checker.T0:
-            static.add((checker.T0, t, checker.RT))
+        static.add((a, b, RT))
+    for t in analysis.history.txns() - {checker.T0}:
+        static.add((checker.T0, t, RT))
     for reads in analysis.reads.values():
         for k, j in reads:
             if j != k:
-                static.add((j, k, checker.RF))
+                static.add((j, k, RF))
     return frozenset(static)
 
 
@@ -856,8 +913,9 @@ def reference_graph_verdict(analysis, order, tested: int = 1) -> Verdict:
     edges = set(reference_static_edges(analysis))
     for obj, seq in order.items():
         pairs = reference_mv_pairs(analysis.reads.get(obj, ()), seq)
-        edges.update((u, v, checker.MV) for u, v in pairs)
-    graph = checker.OpacityGraph(analysis.vertices, frozenset(edges))
+        edges.update((u, v, MV) for u, v in pairs)
+    vertices = frozenset({checker.T0} | analysis.history.txns())
+    graph = checker.OpacityGraph(vertices, frozenset(edges))
     topo, cycle = reference_topological_order(graph)
     if topo is None:
         return Verdict(
@@ -900,9 +958,9 @@ def reference_mv_edges(reads, writers_by_obj, positions) -> set[tuple[int, int, 
             if i == j or i == k:
                 continue
             if pos[i] < pos[j]:
-                edges.add((i, j, checker.MV))
+                edges.add((i, j, MV))
             else:
-                edges.add((k, i, checker.MV))
+                edges.add((k, i, MV))
     return edges
 
 
@@ -1015,7 +1073,7 @@ def reference_check_auto(
     if analysis.invalid is not None:
         return checker._invalid(analysis.invalid)
     ts_order = checker._ascending_order(analysis.writes)
-    s, failure = checker._witness(analysis, sorted(analysis.vertices))
+    s, failure = checker._witness(analysis, sorted({checker.T0} | history.txns()))
     if failure is None:
         return Verdict("opaque", order=dict(ts_order), serialization=s, orders_tested=1)
     ts = reference_graph_verdict(analysis, ts_order)
@@ -1098,7 +1156,6 @@ class NtsChainRegistry(Registry):
         for vt in tobj.versions:
             nts = self.nts.get((oid, vt.ts))
             if nts is not None and not any(vt.ts < j < nts for j in self._live):
-                tobj.gc_deleted += 1
                 self._recorder.on_version_delete(oid, vt.ts)
                 if survivors:
                     self.nts[oid, survivors[-1].ts] = nts

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import pytest
 
 from mvtostm.checker import (
-    build_graph,
     check_brute_force,
     check_with_order,
     illegal_read,
@@ -24,6 +23,7 @@ from mvtostm.checker import (
 from mvtostm.harness import WorkloadConfig, run
 from mvtostm.history import parse
 from tests import support
+from tests.support import build_graph
 
 
 def _report(n: int, ok: bool, note: str) -> None:

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from mvtostm import checker
 from mvtostm.checker import (
     OpacityGraph,
-    build_graph,
     certify_text,
     check_auto,
     check_brute_force,
@@ -30,6 +29,7 @@ from mvtostm.errors import InvariantViolation, UsageError
 from mvtostm.harness import WorkloadConfig, replay, run
 from mvtostm.history import Event, History, parse
 from tests import golden, support
+from tests.support import MV, RF, RT, build_graph, labeled
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +84,8 @@ class TestValidity:
         with pytest.raises(ValueError, match="unique"):
             invalid_read(h)
 
-    # The checks raise for an ambiguous value only where the walk for the
-    # first invalid read meets it; build_graph resolves every read.
+    # The analysis raises for an ambiguous value only where its pass over
+    # the reads meets it, before the first invalid read.
 
     def test_ambiguous_read_before_an_invalid_one_raises(self):
         h = parse("w 1 x 7\nc 1\nw 2 x 7\nc 2\nr 3 x 7\nr 3 y 9\n")
@@ -105,15 +105,13 @@ class TestValidity:
         assert invalid_read(h).line() == "r 3 y 9"
         for v in (check_with_order(h, order), check_auto(h)):
             assert v.status == "invalid" and v.invalid_read.line() == "r 3 y 9"
-        with pytest.raises(ValueError, match="unique"):
-            build_graph(h, order)
 
     def test_unread_duplicate_values_are_not_ambiguous(self):
         h = parse("b 3\nr 3 x 0\nw 1 x 7\nc 1\nw 2 x 7\nc 2\nc 3\n")
         order = timestamp_order(h)
         assert invalid_read(h) is None
         assert check_with_order(h, order).opaque and check_auto(h).opaque
-        assert build_graph(h, order).labeled(checker.RF) == {(0, 3)}
+        assert labeled(build_graph(h, order), RF) == {(0, 3)}
 
 
 class TestOneProjectionPerCheck:
@@ -159,60 +157,61 @@ class TestOneProjectionPerCheck:
 
 
 def _projected(h: History):
-    """What checker._Analysis(h) projects: the first invalid read, the
-    reads or the error reading them raises, and the vertices; or the
-    error that building the analysis raises."""
+    """What checker._Analysis(h) projects: the first invalid read and,
+    when there is none, the reads; or the error building it raises."""
     try:
         analysis = checker._Analysis(h)
     except ValueError as exc:
         return type(exc).__name__, str(exc)
-    try:
-        reads = analysis.reads
-    except ValueError as exc:
-        reads = type(exc).__name__, str(exc)
-    return analysis.invalid, reads, analysis.vertices
+    if analysis.invalid is not None:
+        return analysis.invalid, None
+    return None, analysis.reads
 
 
 def _reference_projected(h: History):
-    """_projected by support.reference_projection, the projection the
-    analysis made lazily before."""
+    """_projected by support.reference_projection, the projection that
+    resolved every read and kept an ambiguity after the first invalid
+    read for later."""
     try:
-        invalid, reads, ambiguous, vertices = support.reference_projection(h)
+        invalid, reads, _ambiguous, _vertices = support.reference_projection(h)
     except ValueError as exc:
         return type(exc).__name__, str(exc)
-    if ambiguous is not None:
-        reads = type(ambiguous).__name__, str(ambiguous)
-    return invalid, reads, vertices
+    if invalid is not None:
+        return invalid, None
+    return None, reads
 
 
 # Hand-built histories, one per case of the projection pass, each with
 # what it projects: "raises", or the first invalid read's line (None
-# when every read is valid) and whether reading the reads raises.
+# when every read is valid).
 PROJECTION_CASES = {
     "ambiguous before the first invalid": (
         "w 1 x 7\nc 1\nw 2 x 7\nc 2\nr 3 x 7\nr 3 y 9\n",
         "raises",
     ),
+    # the pass stops at the invalid read, so the ambiguous one after it
+    # raises nothing
     "ambiguous after the first invalid": (
         "w 1 x 7\nc 1\nw 2 x 7\nc 2\nr 3 y 9\nr 3 x 7\n",
-        ("r 3 y 9", True),
+        "r 3 y 9",
     ),
     "unread duplicate value": (
         "b 3\nr 3 x 0\nw 1 x 7\nc 1\nw 2 x 7\nc 2\nc 3\n",
-        (None, False),
+        None,
     ),
     "writer commits after the read": (
         "b 1\nw 1 x 5\nb 2\nr 2 x 5\nc 1\nc 2\n",
-        ("r 2 x 5", False),
+        "r 2 x 5",
     ),
-    "aborted writer": ("b 1\nw 1 x 5\na 1\nb 2\nr 2 x 5\nc 2\n", ("r 2 x 5", False)),
+    "aborted writer": ("b 1\nw 1 x 5\na 1\nb 2\nr 2 x 5\nc 2\n", "r 2 x 5"),
 }
 
 
 class TestProjectionAgainstReference:
-    """_Analysis projects its history in its constructor. Its invalid
-    read, reads, vertices and raised errors must be those of the lazy
-    projection it replaced, support.reference_projection."""
+    """_Analysis projects its history in its constructor and stops at
+    the first invalid read. Its invalid read, its raised errors and, on
+    a history with no invalid read, its reads must be those of
+    support.reference_projection, which resolved every read."""
 
     @pytest.mark.parametrize("case", sorted(PROJECTION_CASES))
     def test_hand_built_cases(self, case):
@@ -223,11 +222,8 @@ class TestProjectionAgainstReference:
         if want == "raises":
             assert got[0] == "ValueError" and "unique" in got[1]
             return
-        line, reads_raise = want
-        invalid, reads, vertices = got
-        assert (None if invalid is None else invalid.line()) == line
-        assert (isinstance(reads, tuple) and reads[0] == "ValueError") == reads_raise
-        assert vertices == {0} | {e.tx for e in h.events}
+        invalid, _ = got
+        assert (None if invalid is None else invalid.line()) == want
 
     def test_golden_inputs(self):
         # the golden inputs include random_concurrent_history's seeds
@@ -236,7 +232,7 @@ class TestProjectionAgainstReference:
         for name, h in golden.inputs():
             got = _projected(h)
             assert got == _reference_projected(h), name
-            if len(got) == 2:
+            if isinstance(got[0], str):
                 outcomes["raises"] += 1
             else:
                 outcomes["invalid" if got[0] is not None else "valid"] += 1
@@ -358,13 +354,13 @@ class TestBuildGraph:
     def test_reference_history_edge_sets(self, reference):
         g = build_graph(reference, support.REFERENCE_ORDER)
         assert g.vertices == frozenset({0, 1, 2, 3, 4})
-        assert g.labeled(checker.RT) == {
+        assert labeled(g, RT) == {
             (0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 4),
         }
-        assert g.labeled(checker.RF) == {
+        assert labeled(g, RF) == {
             (0, 1), (0, 2), (0, 3), (1, 4), (2, 4),
         }
-        assert g.labeled(checker.MV) == {
+        assert labeled(g, MV) == {
             (2, 1), (1, 2), (1, 3), (3, 1), (0, 1), (0, 2), (4, 3),
         }
 
@@ -373,7 +369,7 @@ class TestBuildGraph:
         # completion abort lands before T2's events.
         h = parse("r 1 x 0\nr 2 x 0\nc 2\n")
         g = build_graph(h, {"x": (0,)})
-        assert g.labeled(checker.RT) == {(0, 1), (0, 2)}
+        assert labeled(g, RT) == {(0, 1), (0, 2)}
 
     def test_order_must_cover_exactly_the_writers(self, reference):
         for order in (
@@ -411,18 +407,32 @@ class TestBuildGraph:
             build_graph(h, {"x": (0, 1)})  # writer 2 missing
         assert type(info.value) is ValueError
 
+    def test_invalid_read_is_a_usage_error(self):
+        # the analysis stops at the first invalid read, so the reads after
+        # it, and the graph, are never resolved
+        h = parse("b 1\nw 1 x 5\nb 2\nr 2 x 5\nc 1\nc 2\n")
+        with pytest.raises(UsageError, match="invalid read 'r 2 x 5'"):
+            build_graph(h, {"x": (0, 1)})
+
     @settings(max_examples=40)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_mv_edges_ignore_interleaving(self, seed):
         # Re-interleaving the same per-transaction event sequences leaves
-        # the mv edge family untouched; only rt can change.
+        # the mv edge family untouched; only rt can change. A shuffle can
+        # move a read before its writer's commit: that history is decided
+        # invalid at that read, and has no graph.
         h = support.random_legal_tseq(seed)
         order = sequential_order(h)
         g1 = build_graph(h, order)
         shuffled = support.shuffle_preserving_tx_order(seed, h)
+        bad = invalid_read(shuffled)
+        if bad is not None:
+            v = check_with_order(shuffled, order)
+            assert v.status == "invalid" and v.invalid_read == bad
+            return
         g2 = build_graph(shuffled, order)
-        assert g1.labeled(checker.MV) == g2.labeled(checker.MV)
-        assert g1.labeled(checker.RF) == g2.labeled(checker.RF)
+        assert labeled(g1, MV) == labeled(g2, MV)
+        assert labeled(g1, RF) == labeled(g2, RF)
 
 
 class TestTopologicalOrder:
@@ -841,7 +851,7 @@ class TestOneWalk:
                     continue
             except ValueError:
                 continue
-            s, failure = checker._witness(analysis, sorted(analysis.vertices))
+            s, failure = checker._witness(analysis, sorted({0} | h.txns()))
             certified = certify_text(h.serialize())
             assert (certified is not None) == (failure is None), name
             if certified is not None:
@@ -1238,7 +1248,8 @@ class TestMvRule:
     def test_graph_edges_match_the_labelled_reference(self):
         # build_graph expands the peel's bit sets; under any version
         # order its rt, rf, T0 and mv edges must be the labelled sets
-        # they replaced, and a history the analysis refuses raises
+        # they replaced. A history the analysis refuses, or one with an
+        # invalid read, has no graph and raises
         built = 0
         for seed, (name, h) in enumerate(golden.inputs()):
             ts = timestamp_order(h)
@@ -1247,6 +1258,10 @@ class TestMvRule:
                 analysis.static_masks
             except (ValueError, UsageError) as exc:
                 with pytest.raises(type(exc)):
+                    build_graph(h, ts)
+                continue
+            if analysis.invalid is not None:
+                with pytest.raises(UsageError, match="invalid read"):
                     build_graph(h, ts)
                 continue
             static = support.reference_static_edges(analysis)
@@ -1259,7 +1274,7 @@ class TestMvRule:
                 }
                 mv = support.reference_mv_edges(reads, analysis.writes, positions)
                 graph = build_graph(h, order)
-                assert graph.vertices == analysis.vertices, name
+                assert graph.vertices == {0} | h.txns(), name
                 assert graph.edges == static | mv, name
             built += 1
         assert built > 1500, built

@@ -35,13 +35,13 @@ class TestNtsChain:
 
 class TestCollect:
     def test_quiescent_collect_keeps_only_newest(self):
-        reg = Registry(1, gc_threshold=1)
+        reg = Registry(1, gc_threshold=1, recorder=Recorder())
         for value in (10, 20, 30):
             committed_writer(reg, 1, value)
         last = committed_writer(reg, 1, 40)
         tobj = reg.tobject(1)
         assert timestamps(tobj) == [last]
-        assert tobj.gc_deleted == 4
+        assert _deleted(reg) == 4
         assert not reg._live_lock.locked()
 
     def test_live_transaction_protects_its_window(self):
@@ -56,13 +56,13 @@ class TestCollect:
         assert reg.read(bystander, 1) == 20
 
     def test_deleting_between_survivors_repairs_the_chain(self):
-        reg = Registry(1, gc_threshold=1)
+        reg = Registry(1, gc_threshold=1, recorder=Recorder())
         guard = reg.begin()  # id 1 protects the initial version
         committed_writer(reg, 1, 10)  # ts 2
         committed_writer(reg, 1, 20)  # ts 3: collection deletes ts 2 only
         tobj = reg.tobject(1)
         assert timestamps(tobj) == [0, 3]
-        assert tobj.gc_deleted == 1
+        assert _deleted(reg) == 1
         assert reg.read(guard, 1) == 0
 
     def test_initial_version_is_collectable(self):
@@ -194,7 +194,9 @@ def _version_lists(reg):
 
 
 def _deleted(reg):
-    return [reg.tobject(oid).gc_deleted for oid in range(1, reg.object_count + 1)]
+    """The versions gc deleted, counted from the delete notes of the
+    registry's recorder."""
+    return sum(n.action == "delete" for n in reg._recorder.version_notes())
 
 
 def _lockstep(reference_cls, seed, gc_threshold, object_count=3):
@@ -225,7 +227,7 @@ class TestAgainstNtsChain:
         for gc_threshold in (None, 1, 2, 8):
             deleted = 0
             for seed in range(300):
-                deleted += sum(_deleted(_lockstep(support.NtsChainRegistry, seed, gc_threshold)))
+                deleted += _deleted(_lockstep(support.NtsChainRegistry, seed, gc_threshold))
             # every threshold must actually collect, or nothing was compared
             assert (deleted > 0) == (gc_threshold is not None)
 

@@ -9,7 +9,6 @@ from mvtostm.errors import ConfigError, InvariantViolation, ReplayError
 from mvtostm.harness import (
     ReplayStep,
     WorkloadConfig,
-    decode_value,
     encode_value,
     parse_script,
     replay,
@@ -18,6 +17,7 @@ from mvtostm.harness import (
 )
 from mvtostm.history import BEGIN, Recorder, parse
 from tests import support
+from tests.support import decode_value
 
 
 class TestValueEncoding:

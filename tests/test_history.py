@@ -73,7 +73,6 @@ class TestParse:
         h = parse(support.REFERENCE_TEXT)
         assert len(h) == 15
         assert h.committed() == {1, 2, 3}
-        assert h.aborted() == set()
         assert h.incomplete() == {4}
         assert h.objects() == {"x", "y", "z"}
 
@@ -318,14 +317,6 @@ class TestParserAgainstReference:
 
 
 class TestHistory:
-    def test_events_of_preserves_order(self):
-        h = parse(support.REFERENCE_TEXT)
-        assert [e.line() for e in h.events_of(4)] == [
-            "r 4 x 5",
-            "r 4 y 10",
-            "r 4 z 10",
-        ]
-
     def test_serialize_round_trip(self):
         h = parse(support.REFERENCE_TEXT)
         assert h.serialize() == support.REFERENCE_TEXT
